@@ -4,17 +4,11 @@
 #include <cmath>
 
 #include "common/zipf.h"
-#include "core/run_internal.h"
-#include "protocols/byzantine.h"
 #include "protocols/factory.h"
 #include "sim/churn.h"
 #include "topology/algorithms.h"
 
 namespace validity::core {
-
-using internal::ByzantineRig;
-using internal::MaybeInterpose;
-using internal::ShouldInstallLinkFaults;
 
 QueryEngine::QueryEngine(const topology::Graph* graph,
                          std::vector<double> values)
@@ -50,8 +44,17 @@ Status QueryEngine::PlanRun(const QuerySpec& spec, const RunConfig& config,
   if (spec.fm_vectors == 0) {
     return Status::InvalidArgument("fm_vectors must be >= 1");
   }
+  if (spec.d_hat != 0.0 && !(std::isfinite(spec.d_hat) && spec.d_hat >= 1.0)) {
+    return Status::InvalidArgument("d_hat must be 0 (auto) or finite and >= 1");
+  }
   if (config.churn_removals >= topo_.num_hosts()) {
     return Status::InvalidArgument("cannot remove every host");
+  }
+  if (!(std::isfinite(config.churn_end_frac) &&
+        config.churn_start_frac >= 0.0 &&
+        config.churn_start_frac <= config.churn_end_frac)) {
+    return Status::InvalidArgument(
+        "churn window needs finite 0 <= churn_start_frac <= churn_end_frac");
   }
   if (config.protocol == protocols::ProtocolKind::kRandomizedReport &&
       spec.aggregate != AggregateKind::kCount &&
@@ -61,7 +64,7 @@ Status QueryEngine::PlanRun(const QuerySpec& spec, const RunConfig& config,
   }
 
   plan->d_hat = spec.d_hat;
-  if (plan->d_hat <= 0.0) {
+  if (plan->d_hat == 0.0) {
     plan->d_hat =
         static_cast<double>(EstimatedDiameter()) + kDefaultDiameterMargin;
   }
@@ -90,25 +93,127 @@ Status QueryEngine::PlanRun(const QuerySpec& spec, const RunConfig& config,
   return Status::Ok();
 }
 
-void QueryEngine::ScheduleConfiguredChurn(sim::Simulator* simulator,
-                                          const RunConfig& config,
-                                          double d_hat, HostId hq) const {
-  if (config.churn_removals == 0) return;
-  SimTime horizon = 2.0 * d_hat * simulator->options().delta;
-  Rng churn_rng(config.churn_seed);
-  auto events = sim::MakeUniformChurn(
-      topo_.num_hosts(), hq, config.churn_removals,
-      config.churn_start_frac * horizon, config.churn_end_frac * horizon,
-      &churn_rng);
-  sim::ScheduleChurn(simulator, events);
+Status QueryEngine::CheckSession(const sim::SimulatorSession& session,
+                                 const sim::SimOptions& sim_options) const {
+  if (!session.topology().SameAs(topo_)) {
+    return Status::InvalidArgument(
+        "session was built over a different topology than this engine");
+  }
+  const sim::SimOptions& built = session.simulator().options();
+  if (built.delta != sim_options.delta || built.medium != sim_options.medium ||
+      built.heartbeat_interval != sim_options.heartbeat_interval) {
+    return Status::InvalidArgument(
+        "session structural sim options (delta, medium, heartbeat) do not "
+        "match the run config");
+  }
+  return Status::Ok();
+}
+
+Status QueryEngine::CheckJoinsTimeline(const Timeline& timeline,
+                                       const RunConfig& config, double d_hat,
+                                       HostId hq) {
+  if (config.churn_removals != timeline.churn_removals ||
+      config.churn_seed != timeline.churn_seed ||
+      config.churn_start_frac != timeline.churn_start_frac ||
+      config.churn_end_frac != timeline.churn_end_frac) {
+    return Status::InvalidArgument(
+        "queries sharing one network timeline must agree on its churn "
+        "schedule");
+  }
+  if (!(config.fault == timeline.fault)) {
+    return Status::InvalidArgument(
+        "queries sharing one network timeline must agree on its fault plane");
+  }
+  if (timeline.churn_removals > 0 &&
+      (d_hat != timeline.d_hat || hq != timeline.hq)) {
+    return Status::InvalidArgument(
+        "churned queries sharing one timeline must share D-hat and the "
+        "querying host (the churn window and the protected host derive from "
+        "them)");
+  }
+  return Status::Ok();
+}
+
+void QueryEngine::ArmTimeline(sim::SimulatorSession* session,
+                              const Timeline& timeline, bool failure_detection,
+                              uint64_t max_events) const {
+  session->Reset();
+  sim::Simulator& simulator = session->simulator();
+  simulator.set_failure_detection(failure_detection);
+  simulator.set_max_events(max_events);
+  // Link faults install when any rate is live (or a bench explicitly asks
+  // for the installed-but-idle path).
+  if (timeline.fault.HasLinkFaults() || timeline.fault.install_idle) {
+    simulator.InstallFaults(&timeline.fault);
+  }
+  if (timeline.churn_removals == 0) return;
+  SimTime horizon = QueryHorizon(timeline.d_hat, simulator.options().delta);
+  Rng churn_rng(timeline.churn_seed);
+  sim::ScheduleChurn(
+      &simulator,
+      sim::MakeUniformChurn(topo_.num_hosts(), timeline.hq,
+                            timeline.churn_removals,
+                            timeline.churn_start_frac * horizon,
+                            timeline.churn_end_frac * horizon, &churn_rng));
+}
+
+void QueryEngine::OpenLane(sim::SimulatorSession* session,
+                           const RunConfig& config, const RunPlan& plan,
+                           HostId hq, bool direct, Lane* lane) const {
+  lane->kind = config.protocol;
+  if (std::unique_ptr<sim::HostProgram> parked =
+          session->TakeParkedProgram(static_cast<uint32_t>(lane->kind))) {
+    lane->protocol.reset(
+        static_cast<protocols::ProtocolBase*>(parked.release()));
+    protocols::ResetProtocol(lane->protocol.get(), lane->kind, plan.ctx,
+                             plan.protocol_options);
+  } else {
+    lane->protocol = protocols::MakeProtocol(lane->kind, &session->simulator(),
+                                             plan.ctx, plan.protocol_options);
+  }
+  sim::HostProgram* program = lane->protocol.get();
+  if (config.fault.HasByzantine()) {
+    lane->mutator = std::make_unique<protocols::StandardByzantineMutator>(
+        lane->kind, config.fault, plan.ctx.combiner, plan.ctx.fm,
+        topo_.num_hosts());
+    lane->interposer = std::make_unique<sim::ByzantineInterposer>(
+        &config.fault, lane->mutator.get(), program, hq);
+    program = lane->interposer.get();
+  }
+  sim::Simulator& simulator = session->simulator();
+  if (direct) {
+    simulator.AttachProgram(program);
+    return;
+  }
+  const uint32_t instance_id = lane->protocol->instance_id();
+  lane->metrics = session->AcquireMetrics();
+  session->mux().Register(instance_id, program);
+  simulator.AttachInstanceMetrics(instance_id, lane->metrics);
+}
+
+void QueryEngine::CloseLane(sim::SimulatorSession* session, Lane* lane) const {
+  if (lane->metrics != nullptr) {
+    const uint32_t instance_id = lane->protocol->instance_id();
+    session->simulator().DetachInstanceMetrics(instance_id);
+    session->mux().Unregister(instance_id);
+    session->ReleaseMetrics(lane->metrics);
+    lane->metrics = nullptr;
+  }
+  session->ParkProgram(static_cast<uint32_t>(lane->kind),
+                       std::move(lane->protocol));
+  // Unreachable from the simulator now: in-flight traffic of this instance
+  // is dropped on delivery, exactly like a stale epoch's.
+  lane->interposer.reset();
+  lane->mutator.reset();
 }
 
 QueryResult QueryEngine::HarvestResult(const sim::Simulator& simulator,
-                                       const sim::Metrics& metrics,
-                                       const protocols::ProtocolBase& protocol,
-                                       const QuerySpec& spec,
+                                       const Lane& lane, const QuerySpec& spec,
                                        const RunConfig& config, double d_hat,
                                        HostId hq, SimTime start_at) const {
+  const protocols::ProtocolBase& protocol = *lane.protocol;
+  const sim::Metrics& metrics =
+      lane.metrics != nullptr ? *lane.metrics : simulator.metrics();
   QueryResult result;
   result.value = protocol.result().value;
   result.declared = protocol.result().declared;
@@ -126,7 +231,7 @@ QueryResult QueryEngine::HarvestResult(const sim::Simulator& simulator,
   // The ORACLE and the exact full aggregate read ground truth for the whole
   // network; million-host callers that touch a small disc skip them.
   if (config.compute_validity) {
-    SimTime horizon = 2.0 * d_hat * simulator.options().delta;
+    SimTime horizon = QueryHorizon(d_hat, simulator.options().delta);
     protocols::OracleReport oracle = protocols::ComputeOracle(
         simulator, hq, /*t_begin=*/start_at, /*t_end=*/start_at + horizon,
         spec.aggregate, values_);
@@ -148,104 +253,18 @@ QueryResult QueryEngine::HarvestResult(const sim::Simulator& simulator,
 StatusOr<QueryResult> QueryEngine::Run(const QuerySpec& spec,
                                        const RunConfig& config,
                                        HostId hq) const {
-  RunPlan plan;
-  if (Status status = PlanRun(spec, config, hq, &plan); !status.ok()) {
-    return status;
-  }
-
-  sim::SimOptions sim_options = config.sim_options;
-  sim_options.failure_detection = plan.failure_detection;
-  sim::Simulator simulator(topo_, sim_options);
-  if (ShouldInstallLinkFaults(config.fault)) {
-    simulator.InstallFaults(&config.fault);
-  }
-  ScheduleConfiguredChurn(&simulator, config, plan.d_hat, hq);
-
-  std::unique_ptr<protocols::ProtocolBase> protocol = protocols::MakeProtocol(
-      config.protocol, &simulator, plan.ctx, plan.protocol_options);
-  ByzantineRig rig;
-  simulator.AttachProgram(MaybeInterpose(config.protocol, config.fault,
-                                         plan.ctx.combiner, plan.ctx.fm,
-                                         topo_.num_hosts(), protocol.get(),
-                                         hq, &rig));
-  protocol->Start(hq);
-  simulator.Run();
-
-  return HarvestResult(simulator, simulator.metrics(), *protocol, spec,
-                       config, plan.d_hat, hq);
-}
-
-Status QueryEngine::CheckSession(const sim::SimulatorSession& session,
-                                 const RunConfig& config) const {
-  if (!session.topology().SameAs(topo_)) {
-    return Status::InvalidArgument(
-        "session was built over a different topology than this engine");
-  }
-  const sim::SimOptions& built = session.simulator().options();
-  if (built.delta != config.sim_options.delta ||
-      built.medium != config.sim_options.medium ||
-      built.heartbeat_interval != config.sim_options.heartbeat_interval) {
-    return Status::InvalidArgument(
-        "session structural sim options (delta, medium, heartbeat) do not "
-        "match the run config");
-  }
-  return Status::Ok();
+  sim::SimulatorSession session(topo_, config.sim_options);
+  return Run(&session, spec, config, hq);
 }
 
 StatusOr<QueryResult> QueryEngine::Run(sim::SimulatorSession* session,
                                        const QuerySpec& spec,
                                        const RunConfig& config,
                                        HostId hq) const {
-  VALIDITY_CHECK(session != nullptr);
-  if (Status status = CheckSession(*session, config); !status.ok()) {
-    return status;
-  }
-  RunPlan plan;
-  if (Status status = PlanRun(spec, config, hq, &plan); !status.ok()) {
-    return status;
-  }
-
-  session->Reset();
-  sim::Simulator& simulator = session->simulator();
-  simulator.set_failure_detection(plan.failure_detection);
-  simulator.set_max_events(config.sim_options.max_events);
-  if (ShouldInstallLinkFaults(config.fault)) {
-    simulator.InstallFaults(&config.fault);
-  }
-  ScheduleConfiguredChurn(&simulator, config, plan.d_hat, hq);
-
-  std::unique_ptr<protocols::ProtocolBase> protocol =
-      AcquireSessionProtocol(session, config.protocol, plan);
-  ByzantineRig rig;
-  simulator.AttachProgram(MaybeInterpose(config.protocol, config.fault,
-                                         plan.ctx.combiner, plan.ctx.fm,
-                                         topo_.num_hosts(), protocol.get(),
-                                         hq, &rig));
-  protocol->Start(hq);
-  simulator.Run();
-
-  QueryResult result = HarvestResult(simulator, simulator.metrics(),
-                                     *protocol, spec, config, plan.d_hat, hq);
-  simulator.AttachProgram(nullptr);
-  simulator.InstallFaults(nullptr);
-  session->ParkProgram(static_cast<uint32_t>(config.protocol),
-                       std::move(protocol));
-  return result;
-}
-
-std::unique_ptr<protocols::ProtocolBase> QueryEngine::AcquireSessionProtocol(
-    sim::SimulatorSession* session, protocols::ProtocolKind kind,
-    const RunPlan& plan) const {
-  if (std::unique_ptr<sim::HostProgram> parked =
-          session->TakeParkedProgram(static_cast<uint32_t>(kind))) {
-    std::unique_ptr<protocols::ProtocolBase> protocol(
-        static_cast<protocols::ProtocolBase*>(parked.release()));
-    protocols::ResetProtocol(protocol.get(), kind, plan.ctx,
-                             plan.protocol_options);
-    return protocol;
-  }
-  return protocols::MakeProtocol(kind, &session->simulator(), plan.ctx,
-                                 plan.protocol_options);
+  StatusOr<std::vector<QueryResult>> results =
+      RunConcurrent(session, {ConcurrentQuery{spec, config, hq}});
+  if (!results.ok()) return results.status();
+  return std::move(results->front());
 }
 
 StatusOr<std::vector<QueryResult>> QueryEngine::RunConcurrent(
@@ -254,99 +273,58 @@ StatusOr<std::vector<QueryResult>> QueryEngine::RunConcurrent(
   VALIDITY_CHECK(session != nullptr);
   if (queries.empty()) return std::vector<QueryResult>();
 
+  // One shared timeline, defined by the first query: the network dynamics
+  // every query observes must be identical. Failure detection is on if any
+  // query needs it. Event budgets guard the whole timeline: take the
+  // largest finite budget, but let any query's 0 ("unlimited") win — a
+  // finite batch-mate must not abort a query that asked for no limit.
   std::vector<RunPlan> plans(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (Status status = CheckSession(*session, queries[i].config);
-        !status.ok()) {
-      return status;
-    }
-    if (!std::isfinite(queries[i].start_at) || queries[i].start_at < 0.0) {
-      return Status::InvalidArgument(
-          "concurrent query start times must be finite and >= 0");
-    }
-    if (Status status = PlanRun(queries[i].spec, queries[i].config,
-                                queries[i].hq, &plans[i]);
-        !status.ok()) {
-      return status;
-    }
-  }
-
-  // One shared timeline: the network dynamics every query observes must be
-  // identical, so the churn schedule (and everything it derives from) has
-  // to agree across the batch.
-  const RunConfig& base = queries[0].config;
-  for (size_t i = 1; i < queries.size(); ++i) {
-    const RunConfig& config = queries[i].config;
-    if (config.churn_removals != base.churn_removals ||
-        config.churn_seed != base.churn_seed ||
-        config.churn_start_frac != base.churn_start_frac ||
-        config.churn_end_frac != base.churn_end_frac) {
-      return Status::InvalidArgument(
-          "concurrent queries share one network timeline and must agree on "
-          "the churn schedule");
-    }
-    if (!(config.fault == base.fault)) {
-      return Status::InvalidArgument(
-          "concurrent queries share one network timeline and must agree on "
-          "the fault plane");
-    }
-    if (base.churn_removals > 0 &&
-        (plans[i].d_hat != plans[0].d_hat || queries[i].hq != queries[0].hq)) {
-      return Status::InvalidArgument(
-          "churned concurrent queries must share D-hat and the querying "
-          "host (the churn window and the protected host derive from them)");
-    }
-  }
-
-  session->Reset();
-  sim::Simulator& simulator = session->simulator();
+  Timeline timeline;
   bool failure_detection = false;
-  // Event budgets guard a whole timeline, and this timeline carries every
-  // query of the batch: take the largest finite budget, but let any
-  // query's 0 ("unlimited") win — a finite batch-mate must not abort a
-  // query that asked for no limit.
   uint64_t max_events = 0;
   bool unlimited = false;
   for (size_t i = 0; i < queries.size(); ++i) {
+    const ConcurrentQuery& q = queries[i];
+    if (Status status = CheckSession(*session, q.config.sim_options);
+        !status.ok()) {
+      return status;
+    }
+    if (!std::isfinite(q.start_at) || q.start_at < 0.0) {
+      return Status::InvalidArgument(
+          "concurrent query start times must be finite and >= 0");
+    }
+    if (Status status = PlanRun(q.spec, q.config, q.hq, &plans[i]);
+        !status.ok()) {
+      return status;
+    }
+    if (i == 0) {
+      timeline = Timeline{q.config.churn_removals, q.config.churn_start_frac,
+                          q.config.churn_end_frac, q.config.churn_seed,
+                          plans[0].d_hat, q.hq, q.config.fault};
+    }
+    if (Status status =
+            CheckJoinsTimeline(timeline, q.config, plans[i].d_hat, q.hq);
+        !status.ok()) {
+      return status;
+    }
     failure_detection = failure_detection || plans[i].failure_detection;
-    uint64_t budget = queries[i].config.sim_options.max_events;
-    if (budget == 0) unlimited = true;
-    max_events = std::max(max_events, budget);
+    unlimited = unlimited || q.config.sim_options.max_events == 0;
+    max_events = std::max(max_events, q.config.sim_options.max_events);
   }
-  simulator.set_failure_detection(failure_detection);
-  simulator.set_max_events(unlimited ? 0 : max_events);
-  if (ShouldInstallLinkFaults(base.fault)) {
-    simulator.InstallFaults(&base.fault);
-  }
-  ScheduleConfiguredChurn(&simulator, base, plans[0].d_hat, queries[0].hq);
+  ArmTimeline(session, timeline, failure_detection,
+              unlimited ? 0 : max_events);
 
-  struct Lane {
-    std::unique_ptr<protocols::ProtocolBase> protocol;
-    uint32_t park_key = 0;
-    sim::Metrics* metrics = nullptr;
-    // Per-lane byzantine interposition: each lane wraps its own protocol
-    // (protecting its own hq, caching its own stale replays), so a lane's
-    // behavior is bit-identical to its solo run.
-    ByzantineRig rig;
-  };
+  // A lone query needs no routing: its program is attached directly and
+  // charged to the simulator's own metrics. A batch routes through the mux,
+  // one metrics lane per query.
+  const bool direct = queries.size() == 1;
+  sim::Simulator& simulator = session->simulator();
   std::vector<Lane> lanes(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    Lane& lane = lanes[i];
-    lane.park_key = static_cast<uint32_t>(queries[i].config.protocol);
-    lane.protocol =
-        AcquireSessionProtocol(session, queries[i].config.protocol, plans[i]);
-    lane.metrics = session->AcquireMetrics();
-    session->mux().Register(
-        lane.protocol->instance_id(),
-        MaybeInterpose(queries[i].config.protocol, queries[i].config.fault,
-                       plans[i].ctx.combiner, plans[i].ctx.fm,
-                       topo_.num_hosts(), lane.protocol.get(), queries[i].hq,
-                       &lane.rig));
-    simulator.AttachInstanceMetrics(lane.protocol->instance_id(),
-                                    lane.metrics);
+    OpenLane(session, queries[i].config, plans[i], queries[i].hq, direct,
+             &lanes[i]);
   }
-
-  simulator.AttachProgram(&session->mux());
+  if (!direct) simulator.AttachProgram(&session->mux());
   // Queries at t=0 start immediately, in batch order; staggered queries are
   // scheduled onto the shared timeline and fire at their start_at, again in
   // batch order among equals (deterministic: equal-time events run in
@@ -354,14 +332,13 @@ StatusOr<std::vector<QueryResult>> QueryEngine::RunConcurrent(
   // Start instant, so its behavior matches a solo query issued at that
   // time.
   for (size_t i = 0; i < lanes.size(); ++i) {
+    protocols::ProtocolBase* protocol = lanes[i].protocol.get();
+    const HostId hq = queries[i].hq;
     if (queries[i].start_at == 0.0) {
-      lanes[i].protocol->Start(queries[i].hq);
+      protocol->Start(hq);
     } else {
-      protocols::ProtocolBase* protocol = lanes[i].protocol.get();
       simulator.ScheduleAt(queries[i].start_at,
-                           [protocol, hq = queries[i].hq] {
-                             protocol->Start(hq);
-                           });
+                           [protocol, hq] { protocol->Start(hq); });
     }
   }
   simulator.Run();
@@ -369,20 +346,13 @@ StatusOr<std::vector<QueryResult>> QueryEngine::RunConcurrent(
   std::vector<QueryResult> results;
   results.reserve(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    results.push_back(HarvestResult(simulator, *lanes[i].metrics,
-                                    *lanes[i].protocol, queries[i].spec,
+    results.push_back(HarvestResult(simulator, lanes[i], queries[i].spec,
                                     queries[i].config, plans[i].d_hat,
                                     queries[i].hq, queries[i].start_at));
   }
-
   simulator.AttachProgram(nullptr);
   simulator.InstallFaults(nullptr);
-  for (Lane& lane : lanes) {
-    simulator.DetachInstanceMetrics(lane.protocol->instance_id());
-    session->mux().Unregister(lane.protocol->instance_id());
-    session->ReleaseMetrics(lane.metrics);
-    session->ParkProgram(lane.park_key, std::move(lane.protocol));
-  }
+  for (Lane& lane : lanes) CloseLane(session, &lane);
   return results;
 }
 

@@ -14,12 +14,14 @@
 #define VALIDITY_CORE_ENGINE_H_
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
 #include "common/histogram.h"
 #include "common/status.h"
 #include "core/query.h"
+#include "protocols/byzantine.h"
 #include "protocols/oracle.h"
 #include "sim/session.h"
 #include "topology/topology.h"
@@ -95,11 +97,11 @@ class QueryEngine {
   /// For kGraph topologies the underlying graph must outlive the engine.
   QueryEngine(topology::Topology topology, std::vector<double> values);
 
-  /// Executes one query. Deterministic in (spec, config, hq), and safe to
-  /// call concurrently from multiple threads: each run builds its own
-  /// simulator/protocol state, and the engine's only shared mutable state
-  /// (the diameter cache) is synchronized. The parallel sweep driver
-  /// (core/sweep.h) relies on this.
+  /// Executes one query on a transient session (the session overload
+  /// below). Deterministic in (spec, config, hq), and safe to call
+  /// concurrently from multiple threads: each run builds its own session,
+  /// and the engine's only shared mutable state (the diameter cache) is
+  /// synchronized. The parallel sweep driver (core/sweep.h) relies on this.
   StatusOr<QueryResult> Run(const QuerySpec& spec, const RunConfig& config,
                             HostId hq) const;
 
@@ -110,8 +112,9 @@ class QueryEngine {
   /// this engine's graph with the same structural sim options as
   /// `config.sim_options` (delta, medium, heartbeat); the per-query knobs
   /// (failure detection, event budget) are retuned here. Resets the session
-  /// first, so any prior state on it is discarded. Output is bit-identical
-  /// to the fresh overload, field for field (tests/session_test.cc).
+  /// first, so any prior state on it is discarded. A one-query
+  /// RunConcurrent batch; output is bit-identical to the fresh overload,
+  /// field for field (tests/session_test.cc).
   /// Sessions are single-threaded: concurrent engine.Run calls need one
   /// session each (the sweep driver keeps one per worker).
   StatusOr<QueryResult> Run(sim::SimulatorSession* session,
@@ -141,7 +144,10 @@ class QueryEngine {
   /// fields, and — when churn is active — identical effective D-hat (the
   /// churn window is derived from it) and identical querying host (churn
   /// protects hq). Queries without churn may differ freely in protocol,
-  /// spec, hq, and start time.
+  /// spec, hq, and start time. The batch runs until its timeline is empty.
+  /// A batch of one attaches its program directly and is charged to the
+  /// simulator's own metrics; larger batches route through the session's
+  /// mux (docs/SESSIONS.md, "One lane lifecycle").
   StatusOr<std::vector<QueryResult>> RunConcurrent(
       sim::SimulatorSession* session,
       const std::vector<ConcurrentQuery>& queries) const;
@@ -161,10 +167,10 @@ class QueryEngine {
   }
 
  private:
-  /// The open query-arrival layer reuses the engine's per-run machinery
-  /// (PlanRun validation, churn scheduling, protocol acquisition, result
-  /// harvest) so a service lane is bit-identical to a solo run by
-  /// construction (core/query_service.h).
+  /// The open query-arrival layer runs its lanes through the same
+  /// lifecycle as RunConcurrent (PlanRun, CheckJoinsTimeline, ArmTimeline,
+  /// OpenLane, HarvestResult, CloseLane), so a service lane is
+  /// bit-identical to a solo run by construction (core/query_service.h).
   friend class QueryService;
 
   /// Everything derived from (spec, config, hq) before a run starts.
@@ -175,33 +181,69 @@ class QueryEngine {
     protocols::ProtocolOptions protocol_options;
   };
 
-  /// Validates the query and fills `plan`; shared by all Run flavors.
+  /// The network dynamics one session timeline carries for every query on
+  /// it: the churn schedule, whose window derives from d_hat and which
+  /// spares hq, and the fault plane.
+  struct Timeline {
+    uint32_t churn_removals = 0;
+    double churn_start_frac = 0.0;
+    double churn_end_frac = 1.0;
+    uint64_t churn_seed = 1;
+    double d_hat = 0.0;
+    HostId hq = 0;
+    sim::FaultSpec fault;
+  };
+
+  /// One query's attachments to a session timeline, from OpenLane to
+  /// CloseLane.
+  struct Lane {
+    protocols::ProtocolKind kind = protocols::ProtocolKind::kWildfire;
+    std::unique_ptr<protocols::ProtocolBase> protocol;
+    /// The lane's own metrics; nullptr for a direct lane, which is charged
+    /// to the simulator's metrics().
+    sim::Metrics* metrics = nullptr;
+    /// Byzantine interposition around `protocol` (protecting the lane's
+    /// own hq, caching its own stale replays); null without byzantine
+    /// hosts.
+    std::unique_ptr<protocols::StandardByzantineMutator> mutator;
+    std::unique_ptr<sim::ByzantineInterposer> interposer;
+  };
+
+  /// Validates the query and fills `plan`; shared by all run paths.
   Status PlanRun(const QuerySpec& spec, const RunConfig& config, HostId hq,
                  RunPlan* plan) const;
-  /// Session/config compatibility for the session-based flavors.
+  /// The session was built over this engine's topology with the structural
+  /// sim options (delta, medium, heartbeat) of `sim_options`.
   Status CheckSession(const sim::SimulatorSession& session,
-                      const RunConfig& config) const;
-  /// Schedules the configured uniform churn onto `simulator`.
-  void ScheduleConfiguredChurn(sim::Simulator* simulator,
-                               const RunConfig& config, double d_hat,
-                               HostId hq) const;
-  /// Re-arms a protocol instance parked on `session` under this kind, or
-  /// constructs the first one; either way Start() behaves identically.
-  /// Return it with ParkProgram(static_cast<uint32_t>(kind), ...) so its
-  /// warm pages and pools carry to the next query.
-  std::unique_ptr<protocols::ProtocolBase> AcquireSessionProtocol(
-      sim::SimulatorSession* session, protocols::ProtocolKind kind,
-      const RunPlan& plan) const;
-  /// Collects the §6.3 cost report, validity report, and ground truth after
-  /// a completed run. `metrics` is the lane this query's traffic was
-  /// charged to; `start_at` anchors the validity window (staggered
-  /// concurrent queries observe [start_at, start_at + horizon]).
-  QueryResult HarvestResult(const sim::Simulator& simulator,
-                            const sim::Metrics& metrics,
-                            const protocols::ProtocolBase& protocol,
+                      const sim::SimOptions& sim_options) const;
+  /// A query joins a shared timeline only if it carries the timeline's
+  /// churn schedule and fault plane and, under churn, plans to its D-hat
+  /// and hq. Checked for every batch member and every service submission.
+  static Status CheckJoinsTimeline(const Timeline& timeline,
+                                   const RunConfig& config, double d_hat,
+                                   HostId hq);
+  /// Starts a fresh epoch on `session` and arms it: failure detection,
+  /// event budget, fault plane and churn schedule. `timeline` must outlive
+  /// the epoch (the simulator keeps a pointer to its fault plane).
+  void ArmTimeline(sim::SimulatorSession* session, const Timeline& timeline,
+                   bool failure_detection, uint64_t max_events) const;
+  /// Opens a lane: takes the protocol parked on `session` under
+  /// config.protocol and re-arms it for `plan` (or builds the first one),
+  /// then wraps it for byzantine hosts. A direct lane becomes the
+  /// simulator's program; any other registers with the session mux under
+  /// its own metrics lane. `config` must outlive the lane.
+  void OpenLane(sim::SimulatorSession* session, const RunConfig& config,
+                const RunPlan& plan, HostId hq, bool direct, Lane* lane) const;
+  /// Returns a lane's routing and accounting attachments to `session` and
+  /// parks its protocol, so its warm pages and pools carry to the next
+  /// query.
+  void CloseLane(sim::SimulatorSession* session, Lane* lane) const;
+  /// Collects the §6.3 cost report, validity report, and ground truth of a
+  /// lane whose traffic has quiesced. `start_at` anchors the validity
+  /// window (staggered queries observe [start_at, start_at + horizon]).
+  QueryResult HarvestResult(const sim::Simulator& simulator, const Lane& lane,
                             const QuerySpec& spec, const RunConfig& config,
-                            double d_hat, HostId hq,
-                            SimTime start_at = 0.0) const;
+                            double d_hat, HostId hq, SimTime start_at) const;
 
   topology::Topology topo_;
   std::vector<double> values_;

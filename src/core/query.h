@@ -62,6 +62,12 @@ struct RunConfig {
 /// double-sweep estimate being off by one.
 inline constexpr double kDefaultDiameterMargin = 2.0;
 
+/// A query's horizon, 2 * D-hat * delta: the churn window and the ORACLE's
+/// validity window are measured against it.
+inline SimTime QueryHorizon(double d_hat, double delta) {
+  return 2.0 * d_hat * delta;
+}
+
 }  // namespace validity::core
 
 #endif  // VALIDITY_CORE_QUERY_H_

@@ -36,24 +36,15 @@ QueryService::QueryService(const QueryEngine* engine,
                            const ServiceOptions& options)
     : engine_(engine), session_(session), options_(options) {
   VALIDITY_CHECK(session != nullptr);
-  VALIDITY_CHECK(session->topology().SameAs(engine->topology()),
-                 "service session must be built over the engine's topology");
-  const sim::SimOptions& built = session->simulator().options();
-  VALIDITY_CHECK(
-      built.delta == options_.sim_options.delta &&
-          built.medium == options_.sim_options.medium &&
-          built.heartbeat_interval == options_.sim_options.heartbeat_interval,
-      "service structural sim options must match the borrowed session's");
-  session_->Reset();
+  VALIDITY_CHECK(engine->CheckSession(*session, options_.sim_options).ok(),
+                 "a borrowed service session must be built over the engine's "
+                 "topology with the service's structural sim options");
   ArmTimeline();
 }
 
 QueryService::~QueryService() {
-  // NOLINT-DETERMINISM(unordered-iteration): destructor teardown; each
-  // running lane is detached independently and nothing observable
-  // survives, so visit order cannot leak into results.
   for (auto& [id, q] : queries_) {
-    if (q->phase == Phase::kRunning) DetachLane(q.get());
+    if (q->phase == Phase::kRunning) engine_->CloseLane(session_, &q->lane);
   }
   sim::Simulator& sim = session_->simulator();
   sim.AttachProgram(nullptr);
@@ -66,34 +57,23 @@ void QueryService::ArmTimeline() {
   VALIDITY_CHECK(options_.churn_removals == 0 ||
                      options_.churn_hq < session_->simulator().num_hosts(),
                  "churn-protected host out of range");
-  churn_d_hat_ = options_.churn_d_hat > 0.0
-                     ? options_.churn_d_hat
-                     : static_cast<double>(engine_->EstimatedDiameter()) +
-                           kDefaultDiameterMargin;
-  churn_end_time_ =
-      options_.churn_removals > 0
-          ? options_.churn_end_frac * 2.0 * churn_d_hat_ *
-                options_.sim_options.delta
-          : 0.0;
-
-  sim::Simulator& sim = session_->simulator();
-  // Always on: detect events are uncharged and ignored by protocols that do
-  // not subscribe, so a lane whose solo run had detection off still matches
-  // bit-for-bit — and lanes that need it (tree/DAG) can arrive at any time,
-  // long after the churn events were scheduled.
-  sim.set_failure_detection(true);
-  sim.set_max_events(options_.max_events);
-  if (internal::ShouldInstallLinkFaults(options_.fault)) {
-    sim.InstallFaults(&options_.fault);
-  }
-  RunConfig churn_config;
-  churn_config.churn_removals = options_.churn_removals;
-  churn_config.churn_start_frac = options_.churn_start_frac;
-  churn_config.churn_end_frac = options_.churn_end_frac;
-  churn_config.churn_seed = options_.churn_seed;
-  engine_->ScheduleConfiguredChurn(&sim, churn_config, churn_d_hat_,
-                                   options_.churn_hq);
-  sim.AttachProgram(&session_->mux());
+  const double d_hat =
+      options_.churn_d_hat > 0.0
+          ? options_.churn_d_hat
+          : static_cast<double>(engine_->EstimatedDiameter()) +
+                kDefaultDiameterMargin;
+  timeline_ = QueryEngine::Timeline{
+      options_.churn_removals, options_.churn_start_frac,
+      options_.churn_end_frac, options_.churn_seed, d_hat, options_.churn_hq,
+      options_.fault};
+  // Failure detection is always on: detect events are uncharged and
+  // ignored by protocols that do not subscribe, so a lane whose solo run
+  // had detection off still matches bit-for-bit — and lanes that need it
+  // (tree/DAG) can arrive at any time, long after the churn events were
+  // scheduled.
+  engine_->ArmTimeline(session_, timeline_, /*failure_detection=*/true,
+                       options_.max_events);
+  session_->simulator().AttachProgram(&session_->mux());
 }
 
 SimTime QueryService::Now() const { return session_->simulator().Now(); }
@@ -102,7 +82,10 @@ StatusOr<QueryService::QueryId> QueryService::Submit(SimTime submit_time,
                                                      const QuerySpec& spec,
                                                      const RunConfig& config,
                                                      HostId hq) {
-  if (Status s = engine_->CheckSession(*session_, config); !s.ok()) return s;
+  if (Status s = engine_->CheckSession(*session_, config.sim_options);
+      !s.ok()) {
+    return s;
+  }
   if (!std::isfinite(submit_time) || submit_time < Now()) {
     return Status::InvalidArgument(
         "submit time must be finite and >= the timeline's current time");
@@ -115,25 +98,10 @@ StatusOr<QueryService::QueryId> QueryService::Submit(SimTime submit_time,
         "the service timeline owns the event budget; set "
         "ServiceOptions.max_events instead of a per-query one");
   }
-  // One shared timeline: the same agreement RunConcurrent demands of a
-  // batch, checked against the ServiceOptions the timeline was armed with.
-  if (config.churn_removals != options_.churn_removals ||
-      config.churn_seed != options_.churn_seed ||
-      config.churn_start_frac != options_.churn_start_frac ||
-      config.churn_end_frac != options_.churn_end_frac) {
-    return Status::InvalidArgument(
-        "queries share the service timeline and must carry its churn "
-        "schedule");
-  }
-  if (!(config.fault == options_.fault)) {
-    return Status::InvalidArgument(
-        "queries share the service timeline and must carry its fault plane");
-  }
-  if (options_.churn_removals > 0 &&
-      (plan.d_hat != churn_d_hat_ || hq != options_.churn_hq)) {
-    return Status::InvalidArgument(
-        "churned queries must share the timeline's D-hat and querying host "
-        "(the churn window and the protected host derive from them)");
+  if (Status s = QueryEngine::CheckJoinsTimeline(timeline_, config,
+                                                 plan.d_hat, hq);
+      !s.ok()) {
+    return s;
   }
 
   QueryId id = next_id_++;
@@ -176,19 +144,11 @@ void QueryService::StartLane(QueryState* q) {
   q->phase = Phase::kRunning;
   q->started_at = sim.Now();
   q->retire_at = RetireTimeFor(*q, q->started_at);
-  q->protocol = engine_->AcquireSessionProtocol(
-      session_, q->arrival.config.protocol, q->plan);
-  q->metrics = session_->AcquireMetrics();
-  session_->mux().Register(
-      q->protocol->instance_id(),
-      internal::MaybeInterpose(q->arrival.config.protocol,
-                               q->arrival.config.fault, q->plan.ctx.combiner,
-                               q->plan.ctx.fm, sim.num_hosts(),
-                               q->protocol.get(), q->arrival.hq, &q->rig));
-  sim.AttachInstanceMetrics(q->protocol->instance_id(), q->metrics);
+  engine_->OpenLane(session_, q->arrival.config, q->plan, q->arrival.hq,
+                    /*direct=*/false, &q->lane);
   ++in_flight_;
   peak_in_flight_ = std::max(peak_in_flight_, in_flight_);
-  q->protocol->Start(q->arrival.hq);
+  q->lane.protocol->Start(q->arrival.hq);
   sim.ScheduleAt(q->retire_at, [this, id = q->id] { OnRetire(id); });
 }
 
@@ -208,9 +168,9 @@ void QueryService::OnRetire(QueryId id) {
     done.started_at = q->started_at;
     done.retired_at = session_->simulator().Now();
     done.result = engine_->HarvestResult(
-        session_->simulator(), *q->metrics, *q->protocol, q->arrival.spec,
-        q->arrival.config, q->plan.d_hat, q->arrival.hq, q->started_at);
-    DetachLane(q.get());
+        session_->simulator(), q->lane, q->arrival.spec, q->arrival.config,
+        q->plan.d_hat, q->arrival.hq, q->started_at);
+    engine_->CloseLane(session_, &q->lane);
     ++completed_;
     if (on_completion_) on_completion_(done);
     completions_.push_back(std::move(done));
@@ -225,20 +185,6 @@ void QueryService::OnRetire(QueryId id) {
   }
 }
 
-void QueryService::DetachLane(QueryState* q) {
-  sim::Simulator& sim = session_->simulator();
-  const uint32_t instance_id = q->protocol->instance_id();
-  sim.DetachInstanceMetrics(instance_id);
-  session_->mux().Unregister(instance_id);
-  session_->ReleaseMetrics(q->metrics);
-  q->metrics = nullptr;
-  session_->ParkProgram(static_cast<uint32_t>(q->arrival.config.protocol),
-                        std::move(q->protocol));
-  // Unreachable from the mux now; any in-flight traffic of this instance is
-  // dropped on delivery, exactly like a stale epoch's.
-  q->rig = {};
-}
-
 SimTime QueryService::RetireTimeFor(const QueryState& q,
                                     SimTime started) const {
   const sim::SimOptions& so = session_->simulator().options();
@@ -249,17 +195,19 @@ SimTime QueryService::RetireTimeFor(const QueryState& q,
       delta * (1.0 + (delayed ? static_cast<double>(fault.max_delay_hops)
                               : 0.0));
   const double d_hat = q.plan.d_hat;
-  const double horizon = 2.0 * d_hat * delta;
+  const double horizon = QueryHorizon(d_hat, delta);
   // No protocol sends after its horizon; the last delivery lands within one
   // (possibly fault-delayed) hop of it.
   SimTime quiet = started + horizon + hop;
   // Tree/DAG eager convergecast: a churn failure detected late (at
   // t_fail + T_hb + delta) can trigger a report cascade of up to one hop
-  // per tree level.
+  // per tree level, down and back up a tree of depth <= d_hat + 1.
   if (q.plan.failure_detection && options_.churn_removals > 0) {
-    SimTime detect = churn_end_time_ + so.heartbeat_interval + delta;
+    SimTime churn_end =
+        timeline_.churn_end_frac * QueryHorizon(timeline_.d_hat, delta);
+    SimTime detect = churn_end + so.heartbeat_interval + delta;
     quiet = std::max(quiet, std::max(started + horizon, detect) +
-                                (2.0 * d_hat + 2.0) * hop);
+                                2.0 * (d_hat + 1.0) * hop);
   }
   // Gossip's round ladder outlives the 2*D-hat horizon: hosts activated any
   // time before it still run their full round count, and hq declares at
@@ -295,7 +243,7 @@ Status QueryService::Cancel(QueryId id) {
       // Routing and accounting detach now (in-flight traffic drops at the
       // mux); the lane slot frees at the original retirement instant so
       // admission stays on scheduled events.
-      DetachLane(q);
+      engine_->CloseLane(session_, &q->lane);
       q->phase = Phase::kCancelled;
       ++cancelled_;
       return Status::Ok();
@@ -328,11 +276,8 @@ void QueryService::set_on_completion(
 }
 
 void QueryService::Reset() {
-  // NOLINT-DETERMINISM(unordered-iteration): reset teardown; every lane
-  // is detached and the whole table cleared below, so visit order is
-  // unobservable (the rebuilt timeline starts from nothing).
   for (auto& [id, q] : queries_) {
-    if (q->phase == Phase::kRunning) DetachLane(q.get());
+    if (q->phase == Phase::kRunning) engine_->CloseLane(session_, &q->lane);
   }
   queries_.clear();
   deferred_.clear();
@@ -341,11 +286,10 @@ void QueryService::Reset() {
   in_flight_ = 0;
   peak_in_flight_ = 0;
   timeline_started_ = false;
-  // Rewinds the timeline (pending arrival/retire closures and message slab
-  // references drain through EventQueue::Clear) and drops the mux, fault,
-  // and instance-metrics attachments; warm parked protocols and metrics
-  // lanes survive for the next epoch.
-  session_->Reset();
+  // ArmTimeline's session Reset rewinds the timeline (pending arrival/retire
+  // closures and message slab references drain through EventQueue::Clear)
+  // and drops the mux, fault, and instance-metrics attachments; warm parked
+  // protocols and metrics lanes survive for the next epoch.
   ArmTimeline();
 }
 
@@ -362,9 +306,7 @@ StatusOr<std::vector<QueryService::Completion>> QueryService::Replay(
     ids.push_back(id.value());
   }
   service.Drain();
-  // NOLINT-DETERMINISM(unordered-container): lookup-only index; results
-  // are emitted in the trace's arrival order below, never in map order.
-  std::unordered_map<QueryId, Completion> by_id;
+  std::map<QueryId, Completion> by_id;
   Completion done;
   while (service.Poll(&done)) by_id.emplace(done.id, std::move(done));
   std::vector<Completion> in_arrival_order;

@@ -1,12 +1,12 @@
-// QueryService: the open query-arrival layer (ROADMAP item 2).
+// QueryService: the open query-arrival layer.
 //
 // RunConcurrent serves a closed batch known up front; production traffic is
 // an open stream. A QueryService owns one long-lived churning timeline (a
 // SimulatorSession) onto which queries are *submitted* at arbitrary
 // simulated times, admitted to a bounded set of instance lanes (the
-// kInstanceTagShift tagging + per-query Metrics lanes RunConcurrent
-// introduced), and completed through a poll/callback API as the timeline
-// advances.
+// engine's lane lifecycle: kInstanceTagShift tagging, the session mux and a
+// per-query Metrics lane), and completed through a poll/callback API as the
+// timeline advances.
 //
 // Determinism contract (docs/SERVICE.md, tests/query_service_test.cc):
 // every completed query's QueryResult is bit-identical, field for field, to
@@ -39,7 +39,7 @@
 //  - The network dynamics are properties of the *timeline*, not of a query:
 //    churn schedule and fault plane come from ServiceOptions, are armed
 //    once at construction, and every submitted config must agree with them
-//    (the same validation RunConcurrent applies to a batch). Failure
+//    (the same check RunConcurrent applies to a batch). Failure
 //    detection is always on — detect events are uncharged and ignored by
 //    protocols that do not subscribe, so solo runs without it still match.
 //
@@ -53,12 +53,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/engine.h"
-#include "core/run_internal.h"
 
 namespace validity::core {
 
@@ -199,7 +198,7 @@ class QueryService {
   const ArrivalTrace& trace() const { return trace_; }
   sim::SimulatorSession& session() { return *session_; }
   /// The resolved churn D-hat (after the 0 = auto resolution).
-  double churn_d_hat() const { return churn_d_hat_; }
+  double churn_d_hat() const { return timeline_.d_hat; }
 
   /// Lanes currently occupied (includes cancelled lanes until their
   /// retirement instant frees the slot).
@@ -224,21 +223,16 @@ class QueryService {
     Phase phase = Phase::kScheduled;
     SimTime started_at = 0.0;
     SimTime retire_at = 0.0;
-    // Lane machinery, live while running:
-    std::unique_ptr<protocols::ProtocolBase> protocol;
-    sim::Metrics* metrics = nullptr;
-    internal::ByzantineRig rig;
+    /// Open from StartLane until retirement or cancellation.
+    QueryEngine::Lane lane;
   };
 
-  /// Arms the timeline on a pristine session epoch: failure detection,
-  /// event budget, fault plane, churn schedule, mux attachment.
+  /// Starts a fresh session epoch and arms the timeline: failure
+  /// detection, event budget, fault plane, churn schedule, mux attachment.
   void ArmTimeline();
   void OnArrival(QueryId id);
   void StartLane(QueryState* q);
   void OnRetire(QueryId id);
-  /// Returns the lane's routing and accounting attachments to the session
-  /// (metrics released, protocol parked). The slot itself frees in OnRetire.
-  void DetachLane(QueryState* q);
   /// The deterministic quiescence bound: no event of this lane can execute
   /// at or after the returned instant.
   SimTime RetireTimeFor(const QueryState& q, SimTime started) const;
@@ -247,15 +241,11 @@ class QueryService {
   std::unique_ptr<sim::SimulatorSession> owned_session_;
   sim::SimulatorSession* session_;
   ServiceOptions options_;
-  double churn_d_hat_ = 0.0;
-  /// Absolute end of the timeline's churn window (0 without churn).
-  SimTime churn_end_time_ = 0.0;
+  /// The timeline's dynamics: options_ with churn_d_hat resolved.
+  QueryEngine::Timeline timeline_;
 
   QueryId next_id_ = 1;
-  // NOLINT-DETERMINISM(unordered-container): keyed lookup per arrival/
-  // completion; the only iterations are the ~QueryService/Reset teardown
-  // walks, which are annotated order-independent at the loop sites.
-  std::unordered_map<QueryId, std::unique_ptr<QueryState>> queries_;
+  std::map<QueryId, std::unique_ptr<QueryState>> queries_;
   std::deque<QueryId> deferred_;
   std::deque<Completion> completions_;
   std::function<void(const Completion&)> on_completion_;

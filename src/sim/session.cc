@@ -29,13 +29,21 @@ HostProgram* QueryProgramMux::Lookup(uint32_t instance_id) const {
 
 void QueryProgramMux::OnMessage(HostId self, const Message& msg) {
   HostProgram* program = Lookup(msg.kind >> kInstanceTagShift);
-  if (program != nullptr) program->OnMessage(self, msg);
+  if (program != nullptr) {
+    program->OnMessage(self, msg);
+  } else {
+    ++dropped_;
+  }
 }
 
 void QueryProgramMux::OnTimer(HostId self, uint64_t timer_id) {
   HostProgram* program =
       Lookup(static_cast<uint32_t>(timer_id >> kInstanceTagShift));
-  if (program != nullptr) program->OnTimer(self, timer_id);
+  if (program != nullptr) {
+    program->OnTimer(self, timer_id);
+  } else {
+    ++dropped_;
+  }
 }
 
 void QueryProgramMux::OnNeighborFailure(HostId self, HostId failed) {

@@ -47,13 +47,20 @@ namespace validity::sim {
 /// Demultiplexes one simulator's callbacks to N concurrently-running query
 /// programs by the instance tag in message kinds / timer ids. Traffic whose
 /// tag matches no registered program (stale epochs, detached queries) is
-/// dropped, exactly as a lone protocol's DecodeKind would drop it.
+/// dropped, exactly as a lone protocol's DecodeKind would drop it, and
+/// counted: a lane retired at its quiescence bound leaves none behind.
 class QueryProgramMux : public HostProgram {
  public:
   void Register(uint32_t instance_id, HostProgram* program);
   void Unregister(uint32_t instance_id);
-  void Clear() { entries_.clear(); }
+  /// Unregisters every program and zeroes dropped() (a new session epoch).
+  void Clear() {
+    entries_.clear();
+    dropped_ = 0;
+  }
   size_t size() const { return entries_.size(); }
+  /// Messages and timers dropped as unroutable since the last Clear().
+  uint64_t dropped() const { return dropped_; }
 
   void OnMessage(HostId self, const Message& msg) override;
   void OnTimer(HostId self, uint64_t timer_id) override;
@@ -69,6 +76,7 @@ class QueryProgramMux : public HostProgram {
     HostProgram* program;
   };
   std::vector<Entry> entries_;
+  uint64_t dropped_ = 0;
 };
 
 class SimulatorSession {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "core/engine.h"
 #include "core/experiment.h"
 #include "topology/generators.h"
@@ -103,6 +106,29 @@ TEST_F(EngineTest, ErrorPaths) {
   spec.aggregate = AggregateKind::kMin;
   EXPECT_EQ(engine_.Run(spec, config, 0).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST_F(EngineTest, InvertedChurnWindowIsInvalidArgument) {
+  RunConfig config;
+  config.churn_removals = 50;
+  config.churn_start_frac = 0.9;
+  config.churn_end_frac = 0.1;
+  EXPECT_EQ(engine_.Run(QuerySpec{}, config, 0).status().code(),
+            StatusCode::kInvalidArgument);
+  sim::SimulatorSession session(&graph_, config.sim_options);
+  EXPECT_EQ(engine_.Run(&session, QuerySpec{}, config, 0).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(EngineTest, NonFiniteOrSubHopDHatIsInvalidArgument) {
+  QuerySpec spec;
+  for (double d_hat : {std::nan(""), 0.5, -3.0,
+                       std::numeric_limits<double>::infinity()}) {
+    spec.d_hat = d_hat;
+    EXPECT_EQ(engine_.Run(spec, RunConfig{}, 0).status().code(),
+              StatusCode::kInvalidArgument)
+        << "d_hat " << d_hat;
+  }
 }
 
 TEST_F(EngineTest, ChurnShrinksOracleLowerBound) {

@@ -302,6 +302,8 @@ TEST(FingerprintFuzzTest, FourColumnsAgreeAcrossRandomCases) {
     auto id = service.Submit(c.start_at, c.spec, c.config, c.hq);
     ASSERT_TRUE(id.ok()) << id.status().message();
     service.Drain();
+    EXPECT_EQ(service.session().mux().dropped(), 0u)
+        << "traffic reached the lane after its quiescence bound";
     QueryService::Completion done;
     ASSERT_TRUE(service.Poll(&done));
     EXPECT_EQ(done.started_at, c.start_at);

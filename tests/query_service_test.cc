@@ -106,6 +106,9 @@ TEST_F(QueryServiceTest, LiveReplayAndSoloAreBitIdenticalAcrossTheTrace) {
   service.Drain();
   EXPECT_EQ(service.completed(), arrivals.size());
   EXPECT_LE(service.peak_in_flight(), options.max_in_flight);
+  // No lane outlived its quiescence bound: nothing reached the mux after a
+  // retirement.
+  EXPECT_EQ(service.session().mux().dropped(), 0u);
 
   std::map<QueryService::QueryId, QueryService::Completion> live;
   QueryService::Completion done;
@@ -172,6 +175,7 @@ TEST_F(QueryServiceTest, ChurnedTimelineMatchesSoloAndReplay) {
     ids.push_back(id.value());
   }
   service.Drain();
+  EXPECT_EQ(service.session().mux().dropped(), 0u);
 
   std::map<QueryService::QueryId, QueryService::Completion> live;
   QueryService::Completion done;
@@ -214,6 +218,7 @@ TEST_F(QueryServiceTest, AdmissionCapsLanesAndDefersInArrivalOrder) {
   EXPECT_EQ(service.deferred(), 4u);
 
   service.Drain();
+  EXPECT_EQ(service.session().mux().dropped(), 0u);
   EXPECT_EQ(service.peak_in_flight(), 2u);
   EXPECT_EQ(service.deferred(), 0u);
   EXPECT_EQ(service.completed(), 6u);
@@ -265,6 +270,8 @@ TEST_F(QueryServiceTest, CancelTearsDownLanesWithoutDisturbingSurvivors) {
   ASSERT_TRUE(service.Cancel(scheduled.value()).ok());
   EXPECT_EQ(service.Cancel(ids[1]).code(), StatusCode::kFailedPrecondition);
   service.Drain();
+  // The cancelled lane's in-flight traffic was dropped, and counted.
+  EXPECT_GT(service.session().mux().dropped(), 0u);
 
   EXPECT_EQ(service.completed(), 2u);
   EXPECT_EQ(service.cancelled(), 2u);
@@ -319,6 +326,7 @@ TEST_F(QueryServiceTest, ResetMidFlightRewindsTheTimelineForFreshQueries) {
   auto id = service.Submit(0.0, spec, config, 0);
   ASSERT_TRUE(id.ok());
   service.Drain();
+  EXPECT_EQ(service.session().mux().dropped(), 0u);
   QueryService::Completion done;
   ASSERT_TRUE(service.Poll(&done));
   auto fresh = engine_.Run(spec, config, 0);
@@ -395,6 +403,7 @@ TEST_F(QueryServiceTest, CompletionCallbackFiresBeforePollAndMayChain) {
   });
   ASSERT_TRUE(service.Submit(0.0, spec, config, 0).ok());
   service.Drain();
+  EXPECT_EQ(service.session().mux().dropped(), 0u);
 
   // The chained follow-up ran to completion on the same timeline.
   ASSERT_EQ(callback_order.size(), 2u);

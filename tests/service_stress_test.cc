@@ -72,6 +72,8 @@ void RunStress(const QueryEngine& engine, uint64_t n, size_t* resident) {
 
   service.Drain();
   EXPECT_EQ(service.completed(), n);
+  // Every lane retired after its last event: no traffic survived a lane.
+  EXPECT_EQ(service.session().mux().dropped(), 0u);
   EXPECT_EQ(service.peak_in_flight(), 8u);
   EXPECT_EQ(service.deferred(), 0u);
   EXPECT_EQ(service.in_flight(), 0u);

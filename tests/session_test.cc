@@ -77,6 +77,7 @@ TEST_F(SessionTest, FreshAndReusedRunsAreBitIdenticalAcrossTheMatrix) {
     auto id = service.Submit(0.0, c.spec, c.config, c.hq);
     ASSERT_TRUE(id.ok()) << c.label << ": " << id.status().message();
     service.Drain();
+    EXPECT_EQ(service.session().mux().dropped(), 0u) << c.label;
     QueryService::Completion done;
     ASSERT_TRUE(service.Poll(&done)) << c.label;
     ExpectIdentical(*fresh, done.result, c.label);

@@ -54,11 +54,8 @@ A suppression without a written reason is itself a finding
 (bad-suppression) and cannot be suppressed: every exemption is an audit
 record, not an escape hatch.
 
-Engines: the libclang engine (tools/lint/clang_engine.py) is preferred
-when the clang Python bindings and a loadable libclang are present; the
-regex engine runs everywhere else (and is the reference for rule
-semantics — the fixtures in lint_determinism_test.py pin both). Use
---engine to force one.
+The rules match comment- and string-stripped source text with regular
+expressions; the fixtures in lint_determinism_test.py pin their verdicts.
 
 Exit status: 0 = no unsuppressed findings, 1 = findings, 2 = usage error.
 """
@@ -107,7 +104,7 @@ class Finding:
 
 
 # --------------------------------------------------------------------------
-# Suppression parsing (shared by both engines).
+# Suppression parsing.
 
 NOLINT_RE = re.compile(
     r"//\s*NOLINT-DETERMINISM\(([^)]*)\)\s*(?::\s*(.*))?")
@@ -172,7 +169,7 @@ class Suppressions:
 
 
 # --------------------------------------------------------------------------
-# C++ text preparation for the regex engine: blank out comments and string
+# C++ text preparation for the scanner: blank out comments and string
 # literals while preserving line structure, so patterns never match inside
 # either.
 
@@ -302,7 +299,7 @@ def split_top_level(s, sep=","):
 
 
 # --------------------------------------------------------------------------
-# Regex engine.
+# Scanner.
 
 UNORDERED_DECL_RE = re.compile(
     r"\bstd\s*::\s*unordered_(?:map|set|multimap|multiset)\s*<")
@@ -358,7 +355,7 @@ def collect_unordered_names(stripped_by_path):
     Members declared in a header are iterated in a .cc, so the name set is
     shared across every scanned file. Best-effort by construction: a
     same-named vector elsewhere would alias (suppress if that ever
-    happens); the libclang engine resolves real types instead.
+    happens).
     """
     names = set()
     for _, stripped in stripped_by_path.items():
@@ -387,9 +384,7 @@ def _matching_angle(text, open_pos):
     return None
 
 
-class RegexEngine:
-    name = "regex"
-
+class Scanner:
     def __init__(self, paths_and_text):
         # [(path, raw_text)] for every scanned file.
         self.raw = dict(paths_and_text)
@@ -702,32 +697,20 @@ def gather_files(paths):
     return sorted(set(files))
 
 
-def make_engine(kind, paths_and_text):
-    if kind in ("auto", "clang"):
-        try:
-            from clang_engine import ClangEngine  # noqa: deferred import
-            return ClangEngine(paths_and_text)
-        except Exception as exc:  # libclang genuinely unavailable
-            if kind == "clang":
-                raise SystemExit(
-                    "libclang engine unavailable: %s" % exc)
-    return RegexEngine(paths_and_text)
-
-
-def run(paths, engine_kind="auto", show_suppressed=False, out=sys.stdout):
+def run(paths, show_suppressed=False, out=sys.stdout):
     files = gather_files(paths)
     paths_and_text = []
     for path in files:
         with open(path, "r", encoding="utf-8", errors="replace") as f:
             paths_and_text.append((path, f.read()))
-    engine = make_engine(engine_kind, paths_and_text)
+    scanner = Scanner(paths_and_text)
 
     unsuppressed = []
     suppressed = []
     for path, raw in paths_and_text:
         lines = raw.split("\n")
         supp = Suppressions(lines)
-        for finding in engine.scan(path):
+        for finding in scanner.scan(path):
             reason = supp.lookup(finding.line, finding.rule)
             if reason is not None:
                 finding.suppressed = True
@@ -751,9 +734,9 @@ def run(paths, engine_kind="auto", show_suppressed=False, out=sys.stdout):
     if show_suppressed:
         for f in sorted(suppressed, key=lambda f: (f.path, f.line)):
             print(f.format(), file=out)
-    print("determinism lint [%s engine]: %d file(s), %d finding(s), "
+    print("determinism lint: %d file(s), %d finding(s), "
           "%d audited suppression(s)" %
-          (engine.name, len(files), len(unsuppressed), len(suppressed)),
+          (len(files), len(unsuppressed), len(suppressed)),
           file=out)
     return 1 if unsuppressed else 0
 
@@ -764,8 +747,6 @@ def main(argv=None):
                     "docstring and docs/DETERMINISM.md).")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to scan (default: src)")
-    parser.add_argument("--engine", choices=("auto", "clang", "regex"),
-                        default="auto")
     parser.add_argument("--show-suppressed", action="store_true",
                         help="also list audited suppressions")
     parser.add_argument("--list-rules", action="store_true")
@@ -775,13 +756,11 @@ def main(argv=None):
             print(rule)
         return 0
     try:
-        return run(args.paths or ["src"], args.engine,
-                   args.show_suppressed)
+        return run(args.paths or ["src"], args.show_suppressed)
     except FileNotFoundError as exc:
         print("no such path: %s" % exc, file=sys.stderr)
         return 2
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
     sys.exit(main())

@@ -6,10 +6,6 @@ Per rule: a positive fixture (the pattern is flagged), a negative fixture
 honoured and audited). Plus the suppression machinery's own contract:
 reasons are mandatory, rules must exist, stale suppressions are flagged.
 
-Runs against every engine available in the environment: the regex engine
-always, the libclang engine when the clang bindings import (the fixtures
-pin identical verdicts for both).
-
 Registered in ctest as lint_determinism_py (see CMakeLists.txt).
 """
 
@@ -23,16 +19,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import lint_determinism  # noqa: E402
 
-try:
-    import clang_engine  # noqa: E402,F401
-    HAVE_CLANG = True
-except Exception:
-    HAVE_CLANG = False
 
-
-class RegexEngineTest(unittest.TestCase):
-    engine = "regex"
-
+class DeterminismLintTest(unittest.TestCase):
     # ------------------------------------------------------------------
     def lint(self, files):
         """Writes `files` {relpath: content} into a temp tree, lints it.
@@ -46,8 +34,7 @@ class RegexEngineTest(unittest.TestCase):
                     f.write(content)
             out = io.StringIO()
             code = lint_determinism.run(
-                [root], engine_kind=self.engine, show_suppressed=True,
-                out=out)
+                [root], show_suppressed=True, out=out)
             return code, out.getvalue()
 
     def assertClean(self, files):
@@ -446,11 +433,6 @@ class RegexEngineTest(unittest.TestCase):
             {"unordered-container", "unordered-iteration",
              "banned-randomness", "pointer-key", "static-state",
              "float-accumulation"})
-
-
-@unittest.skipUnless(HAVE_CLANG, "clang python bindings not available")
-class ClangEngineTest(RegexEngineTest):
-    engine = "clang"
 
 
 if __name__ == "__main__":
