@@ -58,8 +58,14 @@ int Main(int argc, char** argv) {
   sweep.base_seed = seed;
   sweep.threads = bench::GetThreads(flags);
 
-  auto cells = core::RunChurnSweep(engine, spec, /*hq=*/0, lineup,
-                                   {0, 256, 1024, 2048}, sweep);
+  // Churn levels are set for the 10,000-host grid and scale with --hosts,
+  // so a small smoke run sweeps the same churn fractions.
+  std::vector<uint32_t> removals;
+  for (uint64_t r : {0, 256, 1024, 2048}) {
+    removals.push_back(static_cast<uint32_t>(r * graph->num_hosts() / 10000));
+  }
+  auto cells =
+      core::RunChurnSweep(engine, spec, /*hq=*/0, lineup, removals, sweep);
 
   TablePrinter table({"R", "pacing", "count_mean", "count_ci95", "oracle_low",
                       "declared_at", "last_update_at_is_lower"});

@@ -167,30 +167,6 @@ void BM_WildfireCountQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_WildfireCountQuery)->Arg(1000)->Arg(5000)->Unit(benchmark::kMillisecond);
 
-void BM_WildfireCountQueryFaultIdle(benchmark::State& state) {
-  // BM_WildfireCountQuery with the fault plane installed but idle (all
-  // rates zero): the price of the per-send null-spec branch. Pinned
-  // against the plain benchmark to keep the disabled path under 1%
-  // (docs/FAULTS.md); the hot loop itself stays allocation-free either
-  // way (alloc_free_test).
-  auto graph =
-      topology::MakeRandom(static_cast<uint32_t>(state.range(0)), 5.0, 42);
-  core::QueryEngine engine(&*graph, core::MakeZipfValues(graph->num_hosts(),
-                                                         43));
-  core::QuerySpec spec;
-  spec.aggregate = AggregateKind::kCount;
-  spec.fm_vectors = 16;
-  core::RunConfig config;
-  config.fault.install_idle = true;
-  for (auto _ : state) {
-    auto result = engine.Run(spec, config, 0);
-    benchmark::DoNotOptimize(result->value);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_WildfireCountQueryFaultIdle)
-    ->Arg(5000)->Unit(benchmark::kMillisecond);
-
 void BM_WildfireCountQueryFaulted(benchmark::State& state) {
   // The active fault path for scale: drops, duplicates, and delays all
   // firing. Not a regression gate (the workload legitimately differs) —

@@ -10,6 +10,25 @@
 
 namespace validity::core {
 
+namespace {
+
+// The caller-set timing options the simulator relies on (its constructor
+// CHECKs delta; a negative heartbeat would schedule failure detections in
+// the past).
+Status CheckSimOptions(const sim::SimOptions& options) {
+  if (!(std::isfinite(options.delta) && options.delta > 0.0)) {
+    return Status::InvalidArgument("sim_options.delta must be finite and > 0");
+  }
+  if (!(std::isfinite(options.heartbeat_interval) &&
+        options.heartbeat_interval >= 0.0)) {
+    return Status::InvalidArgument(
+        "sim_options.heartbeat_interval must be finite and >= 0");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 QueryEngine::QueryEngine(const topology::Graph* graph,
                          std::vector<double> values)
     : QueryEngine(topology::Topology::FromGraph(graph), std::move(values)) {}
@@ -41,6 +60,9 @@ Status QueryEngine::PlanRun(const QuerySpec& spec, const RunConfig& config,
   if (hq >= topo_.num_hosts()) {
     return Status::OutOfRange("querying host out of range");
   }
+  if (Status status = CheckSimOptions(config.sim_options); !status.ok()) {
+    return status;
+  }
   if (spec.fm_vectors == 0) {
     return Status::InvalidArgument("fm_vectors must be >= 1");
   }
@@ -61,6 +83,16 @@ Status QueryEngine::PlanRun(const QuerySpec& spec, const RunConfig& config,
       spec.aggregate != AggregateKind::kSum) {
     return Status::InvalidArgument(
         "randomized-report answers count/sum queries only");
+  }
+  const bool direct_reports =
+      config.protocol == protocols::ProtocolKind::kRandomizedReport ||
+      (config.protocol == protocols::ProtocolKind::kAllReport &&
+       config.protocol_options.all_report.routing ==
+           protocols::ReportRouting::kDirect);
+  if (direct_reports &&
+      config.sim_options.medium != sim::MediumKind::kPointToPoint) {
+    return Status::InvalidArgument(
+        "direct report delivery needs a point-to-point medium");
   }
 
   plan->d_hat = spec.d_hat;
@@ -141,11 +173,7 @@ void QueryEngine::ArmTimeline(sim::SimulatorSession* session,
   sim::Simulator& simulator = session->simulator();
   simulator.set_failure_detection(failure_detection);
   simulator.set_max_events(max_events);
-  // Link faults install when any rate is live (or a bench explicitly asks
-  // for the installed-but-idle path).
-  if (timeline.fault.HasLinkFaults() || timeline.fault.install_idle) {
-    simulator.InstallFaults(&timeline.fault);
-  }
+  simulator.InstallFaults(&timeline.fault);
   if (timeline.churn_removals == 0) return;
   SimTime horizon = QueryHorizon(timeline.d_hat, simulator.options().delta);
   Rng churn_rng(timeline.churn_seed);
@@ -253,6 +281,10 @@ QueryResult QueryEngine::HarvestResult(const sim::Simulator& simulator,
 StatusOr<QueryResult> QueryEngine::Run(const QuerySpec& spec,
                                        const RunConfig& config,
                                        HostId hq) const {
+  // Checked before the transient session is built: its simulator CHECKs.
+  if (Status status = CheckSimOptions(config.sim_options); !status.ok()) {
+    return status;
+  }
   sim::SimulatorSession session(topo_, config.sim_options);
   return Run(&session, spec, config, hq);
 }

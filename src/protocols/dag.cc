@@ -4,205 +4,70 @@
 
 namespace validity::protocols {
 
-DagProtocol::DagProtocol(sim::Simulator* sim, QueryContext ctx,
-                         DagOptions options)
-    : ProtocolBase(sim, std::move(ctx)), options_(options) {
-  VALIDITY_CHECK(options_.max_parents >= 1, "DAG needs k >= 1");
-}
-
 const std::vector<HostId>& DagProtocol::ParentsOf(HostId h) const {
-  const HostState* st = states_.Find(h);
-  if (st == nullptr || !st->active) return empty_;
-  return st->parents;
+  const DagHostState* st = states_.Find(h);
+  return st == nullptr || !st->active ? empty_ : st->parents;
 }
 
-int32_t DagProtocol::DepthOf(HostId h) const {
-  const HostState* st = states_.Find(h);
-  if (st == nullptr || !st->active) return -1;
-  return st->depth;
-}
-
-SimTime DagProtocol::SlotTime(int32_t depth, SimTime activation_time) const {
-  SimTime delta = sim_->options().delta;
-  SimTime slot = start_time_ +
-                 (2.0 * ctx_.d_hat - static_cast<double>(depth) - 0.5) * delta;
-  return std::max(slot, activation_time + 0.5 * delta);
-}
-
-void DagProtocol::Activate(HostId self, HostId first_parent, int32_t depth) {
-  HostState& st = states_.Touch(self);
-  st.active = true;
-  st.depth = depth;
-  if (first_parent != kInvalidHost) st.parents.push_back(first_parent);
+HostId DagProtocol::JoinWave(HostId self, HostId parent, DagHostState& st) {
+  if (parent != kInvalidHost) st.parents.push_back(parent);
   st.agg = InitialAggregate(self);
-
-  // Forward the query; the forward registers this host with its first
-  // parent (additional parents get explicit registrations in kEager).
-  sim::Message out;
-  out.kind = MakeKind(kBroadcast);
-  out.StoreInline(
-      DagBroadcastPayload{
-          depth,
-          options_.pacing == TreePacing::kEager ? first_parent : kInvalidHost},
-      sizeof(int32_t) + sizeof(HostId));
-  sim_->SendToNeighbors(self, std::move(out));
-
-  SimTime delta = sim_->options().delta;
-  if (options_.pacing == TreePacing::kEager) {
-    ScheduleLocalTimer(self, sim_->Now() + kChildDiscoveryDelay * delta,
-                       kTimerChildrenKnown);
-  }
-  // The slot handler requeues at the same instant so reports delivered at
-  // exactly the slot time are folded in before SendUp.
-  ScheduleLocalTimer(self, SlotTime(depth, sim_->Now()), kTimerSlot);
+  // kEager: the forward registers this host with its first parent.
+  return Eager() ? parent : kInvalidHost;
 }
 
-void DagProtocol::OnLocalTimer(HostId self, uint32_t local_id) {
-  switch (local_id) {
-    case kTimerChildrenKnown:
-      states_.Find(self)->children_known = true;
-      MaybeCompleteEager(self);
-      break;
-    case kTimerSlot:
-      ScheduleLocalTimer(self, sim_->Now(), kTimerSendUp);
-      break;
-    case kTimerSendUp:
-      SendUp(self);
-      break;
-    case kTimerDeclare:
-      Declare(self);
-      break;
+void DagProtocol::OnLateForward(HostId self, HostId sender, int32_t hop,
+                                DagHostState& st) {
+  // Additional parent: a same-wave copy from one level up, adopted until
+  // k parents are held (copies from the previous wave all land at this
+  // same instant, before any report could have been sent).
+  if (st.sent_up || hop != st.depth - 1 ||
+      st.parents.size() >= options_.max_parents ||
+      std::find(st.parents.begin(), st.parents.end(), sender) !=
+          st.parents.end()) {
+    return;
   }
-}
-
-void DagProtocol::AdoptExtraParent(HostId self, HostId parent) {
-  HostState& st = *states_.Find(self);
-  st.parents.push_back(parent);
-  if (options_.pacing != TreePacing::kEager) return;
+  st.parents.push_back(sender);
+  if (!Eager()) return;
   // Tell the extra parent it has a child to wait for.
   sim::Message out;
   out.kind = MakeKind(kRegister);
-  out.StoreInline(RegisterPayload{parent}, sizeof(HostId));
+  out.StoreInline(sender, sizeof(HostId));  // addressee (wireless filtering)
   if (sim_->options().medium == sim::MediumKind::kWireless) {
     sim_->SendToNeighbors(self, std::move(out));
   } else {
-    sim_->SendTo(self, parent, std::move(out));
+    sim_->SendTo(self, sender, std::move(out));
   }
 }
 
-void DagProtocol::Start(HostId hq) {
-  VALIDITY_CHECK(sim_->IsAlive(hq), "querying host must be alive");
-  hq_ = hq;
-  start_time_ = sim_->Now();
-  states_.Reset(sim_->num_hosts());
-  Activate(hq, kInvalidHost, 0);
-  ScheduleLocalTimer(hq, Horizon(), kTimerDeclare);
-}
-
-void DagProtocol::OnMessage(HostId self, const sim::Message& msg) {
-  uint32_t local = 0;
-  if (!DecodeKind(msg.kind, &local)) return;
-  HostState* stp = states_.Find(self);
-
-  if (local == kBroadcast) {
-    const auto in = msg.LoadInline<DagBroadcastPayload>();
-    if (stp == nullptr || !stp->active) {
-      if (sim_->Now() >= Horizon()) return;
-      Activate(self, msg.src, in.hop + 1);
-      return;
-    }
-    HostState& st = *stp;
-    // Additional parent: a same-wave copy from one level up, adopted until
-    // k parents are held (copies from the previous wave all land at this
-    // same instant, before any report could have been sent).
-    if (!st.sent_up && in.hop == st.depth - 1 &&
-        st.parents.size() < options_.max_parents &&
-        std::find(st.parents.begin(), st.parents.end(), msg.src) ==
-            st.parents.end()) {
-      AdoptExtraParent(self, msg.src);
-    }
-    // Child registration with the first parent (kEager only; kSlotted
-    // forwards carry kInvalidHost here).
-    if (in.first_parent == self) st.pending_children.push_back(msg.src);
-    return;
-  }
-
+bool DagProtocol::Fold(HostId self, uint32_t local, const sim::Message& msg,
+                       DagHostState* st) {
   if (local == kRegister) {
-    if (msg.LoadInline<RegisterPayload>().to_parent != self) return;
-    if (stp == nullptr || !stp->active || stp->sent_up) return;
-    stp->pending_children.push_back(msg.src);
-    return;
-  }
-
-  if (local == kReport) {
-    const auto& body = static_cast<const DagReportBody&>(*msg.body);
-    if (std::find(body.to_parents.begin(), body.to_parents.end(), self) ==
-        body.to_parents.end()) {
-      return;  // overheard on the wireless medium / not an addressee
+    if (msg.LoadInline<HostId>() == self && Collecting(st)) {
+      st->pending_children.push_back(msg.src);
     }
-    if (stp == nullptr || !stp->active || stp->sent_up) return;
-    HostState& st = *stp;
-    st.agg->CombineFrom(body.agg);  // duplicate-insensitive merge
-    if (self == hq_) result_.last_update_at = sim_->Now();
-    auto it = std::find(st.pending_children.begin(), st.pending_children.end(),
-                        msg.src);
-    if (it != st.pending_children.end()) st.pending_children.erase(it);
-    if (options_.pacing == TreePacing::kEager) MaybeCompleteEager(self);
+    return false;
   }
+  const auto& body = static_cast<const DagReportBody&>(*msg.body);
+  const auto& to = body.to_parents;  // wireless: overheard by non-addressees
+  if (std::find(to.begin(), to.end(), self) == to.end() || !Collecting(st)) {
+    return false;
+  }
+  st->agg->CombineFrom(body.agg);  // duplicate-insensitive merge
+  return true;
 }
 
-void DagProtocol::OnNeighborFailure(HostId self, HostId failed) {
-  if (options_.pacing != TreePacing::kEager) return;
-  HostState* stp = states_.Find(self);
-  if (stp == nullptr) return;
-  HostState& st = *stp;
-  if (!st.active || st.sent_up) return;
-  auto it =
-      std::find(st.pending_children.begin(), st.pending_children.end(), failed);
-  if (it != st.pending_children.end()) {
-    st.pending_children.erase(it);
-    MaybeCompleteEager(self);
-  }
-}
-
-void DagProtocol::MaybeCompleteEager(HostId self) {
-  HostState& st = *states_.Find(self);
-  if (!st.active || st.sent_up || !st.children_known) return;
-  if (!st.pending_children.empty()) return;
-  SendUp(self);
-}
-
-void DagProtocol::SendUp(HostId self) {
-  HostState& st = *states_.Find(self);
-  if (!st.active || st.sent_up) return;
-  st.sent_up = true;
-  if (self == hq_) {
-    if (options_.pacing == TreePacing::kEager) Declare(self);
-    return;  // kSlotted: the root declares at the horizon
-  }
+void DagProtocol::Report(HostId self, const DagHostState& st) {
   DagReportBody* body = report_pool_.Acquire();
   body->agg = *st.agg;
   body->to_parents = st.parents;
   sim::Message out;
   out.kind = MakeKind(kReport);
   out.body = sim::BodyRef(body);
-  if (sim_->options().medium == sim::MediumKind::kWireless) {
-    // One transmission reaches every parent (paper §6.6: on Grid the DAG
-    // convergecast costs the same as the tree's, whatever k is).
-    sim_->SendToNeighbors(self, std::move(out));
-    return;
-  }
-  for (HostId p : st.parents) {
-    if (sim_->IsAlive(p)) sim_->SendTo(self, p, out);
-  }
-}
-
-void DagProtocol::Declare(HostId self) {
-  if (result_.declared) return;
-  HostState& st = *states_.Find(self);
-  result_.value = st.agg->Estimate();
-  result_.declared_at = sim_->Now();
-  result_.declared = true;
+  // On the wireless medium one transmission reaches every parent (paper
+  // §6.6: on Grid the DAG convergecast costs the same as the tree's,
+  // whatever k is).
+  SendToParents(self, std::move(out), st.parents.data(), st.parents.size());
 }
 
 }  // namespace validity::protocols

@@ -10,20 +10,18 @@
 // the distributed count and sum operators"), i.e. the same FM sketches that
 // WILDFIRE uses (or exact union combiners in tests).
 //
-// Pacing mirrors SpanningTreeProtocol: kSlotted (default, paper-faithful)
-// holds the partial aggregate until the depth slot; kEager (ablation)
-// registers children with every adopted parent (one extra tiny message per
-// additional parent) and reports as soon as all live children reported.
+// The level wave, report slots and pacing are SPANNINGTREE's
+// (protocols/level_convergecast.h). In kEager a host registers with every
+// extra parent it adopts (one extra tiny kRegister message each); the
+// forward registers it with the first.
 
 #ifndef VALIDITY_PROTOCOLS_DAG_H_
 #define VALIDITY_PROTOCOLS_DAG_H_
 
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "protocols/protocol.h"
-#include "protocols/spanning_tree.h"  // TreePacing
+#include "protocols/level_convergecast.h"
 
 namespace validity::protocols {
 
@@ -33,58 +31,36 @@ struct DagOptions {
   TreePacing pacing = TreePacing::kSlotted;
 };
 
-class DagProtocol : public ProtocolBase {
- public:
-  DagProtocol(sim::Simulator* sim, QueryContext ctx, DagOptions options = {});
+struct DagHostState : LevelState {
+  std::vector<HostId> parents;
+  std::optional<PartialAggregate> agg;
+};
+static_assert(sizeof(DagHostState) == 176);  // in resident_state_bytes
 
-  void Start(HostId hq) override;
-  void OnMessage(HostId self, const sim::Message& msg) override;
-  void OnNeighborFailure(HostId self, HostId failed) override;
-  /// Session reuse: rebind context + options and re-arm, keeping the warm
-  /// state pages and report body pool (see ProtocolBase).
-  void ResetForQuery(QueryContext ctx, const DagOptions& options) {
-    options_ = options;
-    ProtocolBase::ResetForQuery(std::move(ctx));
+class DagProtocol
+    : public LevelConvergecast<DagProtocol, DagHostState, DagOptions> {
+ public:
+  DagProtocol(sim::Simulator* sim, QueryContext ctx, DagOptions options = {})
+      : LevelConvergecast(sim, std::move(ctx), options) {
+    VALIDITY_CHECK(options_.max_parents >= 1, "DAG needs k >= 1");
   }
+
   std::string_view name() const override { return "dag"; }
-  size_t ResidentStateBytes() const override {
-    return states_.ResidentBytes();
-  }
 
   /// Parents adopted by `h` (empty if never activated).
   const std::vector<HostId>& ParentsOf(HostId h) const;
-  int32_t DepthOf(HostId h) const;
-
-  /// kEager: children known this many delta after activation (forward out
-  /// +delta, registrations back +2*delta, +0.5 ordering margin).
-  static constexpr double kChildDiscoveryDelay = 2.5;
 
  private:
-  enum LocalKind : uint32_t { kBroadcast = 1, kReport = 2, kRegister = 3 };
-  enum LocalTimer : uint32_t {
-    kTimerChildrenKnown = 1,
-    kTimerSlot = 2,
-    kTimerSendUp = 3,
-    kTimerDeclare = 4,
-  };
+  friend LevelConvergecast;
+  static constexpr uint32_t kRegister = 3;  // payload: the addressee HostId
 
-  void OnLocalTimer(HostId self, uint32_t local_id) override;
   void OnReset() override { report_pool_.ResetRecycleOrder(); }
-
-  /// Inline wire payloads for the small fixed-size messages.
-  struct DagBroadcastPayload {
-    int32_t hop = 0;                     // sender's depth
-    HostId first_parent = kInvalidHost;  // parent registered by the forward
-  };
-  struct RegisterPayload {
-    HostId to_parent = kInvalidHost;  // addressee (wireless filtering)
-  };
 
   /// Pooled report body: the aggregate plus the addressee list. Recycled
   /// bodies keep the sketch words' and parent vector's capacity, so
-  /// steady-state reports allocate nothing.
+  /// steady-state reports allocate nothing. Not an AggregateBody: the
+  /// byzantine mutator passes this private format through.
   struct DagReportBody : sim::MessageBody {
-    DagReportBody() = default;
     PartialAggregate agg;
     std::vector<HostId> to_parents;  // addressees (wireless filtering)
     size_t SizeBytes() const override {
@@ -92,25 +68,14 @@ class DagProtocol : public ProtocolBase {
     }
   };
 
-  struct HostState {
-    bool active = false;
-    bool children_known = false;
-    bool sent_up = false;
-    int32_t depth = 0;
-    std::vector<HostId> parents;
-    std::vector<HostId> pending_children;
-    std::optional<PartialAggregate> agg;
-  };
+  HostId JoinWave(HostId self, HostId parent, DagHostState& st);
+  void OnLateForward(HostId self, HostId sender, int32_t hop,
+                     DagHostState& st);
+  bool Fold(HostId self, uint32_t local, const sim::Message& msg,
+            DagHostState* st);
+  void Report(HostId self, const DagHostState& st);
+  double Extract(const DagHostState& st) const { return st.agg->Estimate(); }
 
-  SimTime SlotTime(int32_t depth, SimTime activation_time) const;
-  void Activate(HostId self, HostId first_parent, int32_t depth);
-  void AdoptExtraParent(HostId self, HostId parent);
-  void MaybeCompleteEager(HostId self);
-  void SendUp(HostId self);
-  void Declare(HostId self);
-
-  DagOptions options_;
-  PagedStates<HostState> states_;
   sim::BodyPool<DagReportBody> report_pool_;
   std::vector<HostId> empty_;
 };

@@ -55,20 +55,22 @@ class GossipProtocol : public ProtocolBase {
   /// Local estimate currently held by `h` (value/weight for push-sum).
   double LocalEstimate(HostId h) const;
 
+  /// Inline wire payload: push-sum mass or the min/max scalar. The
+  /// activation broadcast carries an (ignored) zero payload of the same
+  /// size, preserving the protocol's fixed 24-byte message format. The
+  /// byzantine mutator rewrites it.
+  struct PushPayload {
+    double value = 0.0;
+    double weight = 0.0;
+    double scalar = 0.0;  // min/max variant
+  };
+
  private:
   enum LocalKind : uint32_t { kBroadcast = 1, kPush = 2 };
   enum LocalTimer : uint32_t { kTimerRound = 1, kTimerDeclare = 2 };
 
   void OnLocalTimer(HostId self, uint32_t local_id) override;
 
-  /// Inline wire payload: push-sum mass or the min/max scalar. The
-  /// activation broadcast carries an (ignored) zero payload of the same
-  /// size, preserving the protocol's fixed 24-byte message format.
-  struct PushPayload {
-    double value = 0.0;
-    double weight = 0.0;
-    double scalar = 0.0;  // min/max variant
-  };
   static constexpr uint32_t kPushWireBytes = 3 * sizeof(double);
 
   struct HostState {

@@ -1,179 +1,35 @@
 #include "protocols/spanning_tree.h"
 
-#include <algorithm>
-
 namespace validity::protocols {
 
-SpanningTreeProtocol::SpanningTreeProtocol(sim::Simulator* sim,
-                                           QueryContext ctx,
-                                           SpanningTreeOptions options)
-    : ProtocolBase(sim, std::move(ctx)), options_(options) {}
-
 HostId SpanningTreeProtocol::ParentOf(HostId h) const {
-  const HostState* st = states_.Find(h);
-  if (st == nullptr || !st->active) return kInvalidHost;
-  return st->parent;
+  const TreeHostState* st = states_.Find(h);
+  return st == nullptr || !st->active ? kInvalidHost : st->parent;
 }
 
-int32_t SpanningTreeProtocol::DepthOf(HostId h) const {
-  const HostState* st = states_.Find(h);
-  if (st == nullptr || !st->active) return -1;
-  return st->depth;
-}
-
-SimTime SpanningTreeProtocol::SlotTime(int32_t depth,
-                                       SimTime activation_time) const {
-  SimTime delta = sim_->options().delta;
-  // Depth-d slot: child reports (depth d+1, one slot earlier) arrive exactly
-  // at this instant; SendUp requeues itself behind them. The ladder is sound
-  // for D-hat >= depth_max + 1.
-  SimTime slot = start_time_ +
-                 (2.0 * ctx_.d_hat - static_cast<double>(depth) - 0.5) * delta;
-  // Late activation (churn-stretched paths): never report before having
-  // existed for a moment.
-  return std::max(slot, activation_time + 0.5 * delta);
-}
-
-void SpanningTreeProtocol::Activate(HostId self, HostId parent,
-                                    int32_t depth) {
-  HostState& st = states_.Touch(self);
-  st.active = true;
+HostId SpanningTreeProtocol::JoinWave(HostId self, HostId parent,
+                                      TreeHostState& st) {
   st.parent = parent;
-  st.depth = depth;
   st.partial.AddHost(HostValue(self));
-
-  // Forward the query to every neighbor (including the parent: the forward
-  // doubles as the child-registration announcement used by kEager).
-  sim::Message out;
-  out.kind = MakeKind(kBroadcast);
-  out.StoreInline(TreeBroadcastPayload{depth, parent},
-                  sizeof(int32_t) + sizeof(HostId));
-  sim_->SendToNeighbors(self, std::move(out));
-
-  SimTime delta = sim_->options().delta;
-  if (options_.pacing == TreePacing::kEager) {
-    ScheduleLocalTimer(self, sim_->Now() + kChildDiscoveryDelay * delta,
-                       kTimerChildrenKnown);
-  }
-  // The report slot. In kEager it acts as a deadline fallback; in kSlotted
-  // it is the only send trigger. The handler requeues at the same instant
-  // so that child reports delivered at this exact time are folded in first.
-  ScheduleLocalTimer(self, SlotTime(depth, sim_->Now()), kTimerSlot);
+  return parent;  // named in every forward; only kEager reads it
 }
 
-void SpanningTreeProtocol::OnLocalTimer(HostId self, uint32_t local_id) {
-  switch (local_id) {
-    case kTimerChildrenKnown:
-      states_.Find(self)->children_known = true;
-      MaybeCompleteEager(self);
-      break;
-    case kTimerSlot:
-      ScheduleLocalTimer(self, sim_->Now(), kTimerSendUp);
-      break;
-    case kTimerSendUp:
-      SendUp(self);
-      break;
-    case kTimerDeclare:
-      Declare(self);
-      break;
-  }
+bool SpanningTreeProtocol::Fold(HostId self, uint32_t /*local: kReport*/,
+                                const sim::Message& msg, TreeHostState* st) {
+  const auto in = msg.LoadInline<ReportPayload>();
+  if (in.to_parent != self || !Collecting(st)) return false;  // overheard
+  st->partial.Merge(in.partial);
+  return true;
 }
 
-void SpanningTreeProtocol::Start(HostId hq) {
-  VALIDITY_CHECK(sim_->IsAlive(hq), "querying host must be alive");
-  hq_ = hq;
-  start_time_ = sim_->Now();
-  states_.Reset(sim_->num_hosts());
-  Activate(hq, kInvalidHost, 0);
-  // Root declaration: at the horizon with whatever has been folded in
-  // (kEager may declare earlier through MaybeCompleteEager).
-  ScheduleLocalTimer(hq, Horizon(), kTimerDeclare);
-}
-
-void SpanningTreeProtocol::OnMessage(HostId self, const sim::Message& msg) {
-  uint32_t local = 0;
-  if (!DecodeKind(msg.kind, &local)) return;
-  HostState* stp = states_.Find(self);
-
-  if (local == kBroadcast) {
-    const auto in = msg.LoadInline<TreeBroadcastPayload>();
-    if (stp == nullptr || !stp->active) {
-      if (sim_->Now() >= Horizon()) return;
-      Activate(self, msg.src, in.hop + 1);
-      return;
-    }
-    if (in.parent == self && options_.pacing == TreePacing::kEager) {
-      stp->pending_children.push_back(msg.src);  // sender registered with us
-    }
-    return;
-  }
-
-  if (local == kReport) {
-    const auto in = msg.LoadInline<ReportPayload>();
-    if (in.to_parent != self) return;  // overheard on the wireless medium
-    if (stp == nullptr || !stp->active || stp->sent_up) return;
-    HostState& st = *stp;
-    st.partial.Merge(in.partial);
-    if (self == hq_) result_.last_update_at = sim_->Now();
-    auto it = std::find(st.pending_children.begin(), st.pending_children.end(),
-                        msg.src);
-    if (it != st.pending_children.end()) st.pending_children.erase(it);
-    if (options_.pacing == TreePacing::kEager) MaybeCompleteEager(self);
-  }
-}
-
-void SpanningTreeProtocol::OnNeighborFailure(HostId self, HostId failed) {
-  if (options_.pacing != TreePacing::kEager) return;
-  HostState* stp = states_.Find(self);
-  if (stp == nullptr) return;
-  HostState& st = *stp;
-  if (!st.active || st.sent_up) return;
-  // A failed child will never report; stop waiting for it. (Its subtree is
-  // simply lost — the best-effort behaviour the paper critiques.)
-  auto it =
-      std::find(st.pending_children.begin(), st.pending_children.end(), failed);
-  if (it != st.pending_children.end()) {
-    st.pending_children.erase(it);
-    MaybeCompleteEager(self);
-  }
-}
-
-void SpanningTreeProtocol::MaybeCompleteEager(HostId self) {
-  HostState& st = *states_.Find(self);
-  if (!st.active || st.sent_up || !st.children_known) return;
-  if (!st.pending_children.empty()) return;
-  SendUp(self);
-}
-
-void SpanningTreeProtocol::SendUp(HostId self) {
-  HostState& st = *states_.Find(self);
-  if (!st.active || st.sent_up) return;
-  st.sent_up = true;
-  if (self == hq_) {
-    if (options_.pacing == TreePacing::kEager) Declare(self);
-    return;  // kSlotted: the root declares at the horizon
-  }
+void SpanningTreeProtocol::Report(HostId self, const TreeHostState& st) {
   sim::Message out;
   out.kind = MakeKind(kReport);
-  // Wire size excludes the addressee field, as before: the report payload
-  // proper is the fixed 32-byte ScalarPartial record.
+  // Wire size excludes the addressee field: the report payload proper is
+  // the fixed 32-byte ScalarPartial record.
   out.StoreInline(ReportPayload{st.partial, st.parent},
                   ScalarPartial::kWireBytes);
-  if (sim_->options().medium == sim::MediumKind::kWireless) {
-    // One radio transmission; only the addressed parent folds it in.
-    sim_->SendToNeighbors(self, std::move(out));
-  } else {
-    if (!sim_->IsAlive(st.parent)) return;  // orphaned: subtree is lost
-    sim_->SendTo(self, st.parent, std::move(out));
-  }
-}
-
-void SpanningTreeProtocol::Declare(HostId self) {
-  if (result_.declared) return;
-  HostState& st = *states_.Find(self);
-  result_.value = st.partial.Extract(ctx_.aggregate);
-  result_.declared_at = sim_->Now();
-  result_.declared = true;
+  SendToParents(self, std::move(out), &st.parent, 1);
 }
 
 }  // namespace validity::protocols

@@ -5,108 +5,59 @@
 // propagates duplicate-sensitive partial aggregates from the leaves to the
 // root along unique tree paths. A host failure during Convergecast silently
 // drops its whole collected subtree — the protocol can be arbitrarily
-// invalid (Theorem 4.4), which Figs. 7-9 quantify.
-//
-// Convergecast pacing (TreePacing):
-//  - kSlotted (default, TAG/paper-faithful): a host at depth d holds its
-//    partial aggregate until its slot (2*D-hat - d - 0.5) * delta and then
-//    reports to its parent; child reports land exactly at the parent's slot
-//    and are folded in first. Data therefore sits in interior hosts for
-//    most of the query window — exactly the exposure that makes trees
-//    collapse under churn in Figs. 7-9.
-//  - kEager (ablation): hosts discover their children (each broadcast
-//    forward names its parent, costing nothing extra), report as soon as
-//    every live child reported (heartbeats prune dead children), and fall
-//    back to the slot deadline. Much lower latency and far more
-//    churn-robust than the protocol the paper evaluates; the ablation
-//    bench quantifies the difference.
+// invalid (Theorem 4.4), which Figs. 7-9 quantify. The level wave and its
+// pacing are the DAG's too (level_convergecast.h); this file holds the one
+// parent and the ScalarPartial report.
 
 #ifndef VALIDITY_PROTOCOLS_SPANNING_TREE_H_
 #define VALIDITY_PROTOCOLS_SPANNING_TREE_H_
 
-#include <memory>
-#include <vector>
-
-#include "protocols/protocol.h"
+#include "protocols/level_convergecast.h"
 #include "protocols/scalar_partial.h"
 
 namespace validity::protocols {
-
-enum class TreePacing { kSlotted, kEager };
 
 struct SpanningTreeOptions {
   TreePacing pacing = TreePacing::kSlotted;
 };
 
-class SpanningTreeProtocol : public ProtocolBase {
+struct TreeHostState : LevelState {
+  HostId parent = kInvalidHost;
+  ScalarPartial partial;
+};
+static_assert(sizeof(TreeHostState) == 72);  // in resident_state_bytes
+
+class SpanningTreeProtocol
+    : public LevelConvergecast<SpanningTreeProtocol, TreeHostState,
+                               SpanningTreeOptions> {
  public:
   SpanningTreeProtocol(sim::Simulator* sim, QueryContext ctx,
-                       SpanningTreeOptions options = {});
+                       SpanningTreeOptions options = {})
+      : LevelConvergecast(sim, std::move(ctx), options) {}
 
-  void Start(HostId hq) override;
-  void OnMessage(HostId self, const sim::Message& msg) override;
-  void OnNeighborFailure(HostId self, HostId failed) override;
-  /// Session reuse: rebind context + options and re-arm (see ProtocolBase).
-  void ResetForQuery(QueryContext ctx, const SpanningTreeOptions& options) {
-    options_ = options;
-    ProtocolBase::ResetForQuery(std::move(ctx));
-  }
   std::string_view name() const override { return "spanning-tree"; }
-  size_t ResidentStateBytes() const override {
-    return states_.ResidentBytes();
-  }
 
   /// Tree parent of `h` (kInvalidHost for hq and never-activated hosts).
   HostId ParentOf(HostId h) const;
-  /// Tree depth of `h` (-1 if never activated).
-  int32_t DepthOf(HostId h) const;
 
-  /// kEager: children become known this many delta after activation (own
-  /// forward out: +delta; children's forwards back: +2*delta; +0.5 to order
-  /// the timer after same-instant deliveries).
-  static constexpr double kChildDiscoveryDelay = 2.5;
-
- private:
-  enum LocalKind : uint32_t { kBroadcast = 1, kReport = 2 };
-  enum LocalTimer : uint32_t {
-    kTimerChildrenKnown = 1,
-    kTimerSlot = 2,
-    kTimerSendUp = 3,
-    kTimerDeclare = 4,
-  };
-
-  void OnLocalTimer(HostId self, uint32_t local_id) override;
-
-  /// Inline wire payloads (no body allocation anywhere in this protocol).
-  struct TreeBroadcastPayload {
-    int32_t hop = 0;               // sender's depth
-    HostId parent = kInvalidHost;  // sender's chosen parent
-  };
+  /// The report's inline wire payload (no body allocation anywhere in this
+  /// protocol). The byzantine mutator rewrites it.
   struct ReportPayload {
     ScalarPartial partial;
     HostId to_parent = kInvalidHost;  // addressee (wireless filtering)
   };
 
-  struct HostState {
-    bool active = false;
-    bool children_known = false;
-    bool sent_up = false;
-    int32_t depth = 0;
-    HostId parent = kInvalidHost;
-    std::vector<HostId> pending_children;
-    ScalarPartial partial;
-  };
+ private:
+  friend LevelConvergecast;
 
-  /// The slot instant at which a depth-d host reports upward.
-  SimTime SlotTime(int32_t depth, SimTime activation_time) const;
-
-  void Activate(HostId self, HostId parent, int32_t depth);
-  void MaybeCompleteEager(HostId self);
-  void SendUp(HostId self);
-  void Declare(HostId self);
-
-  SpanningTreeOptions options_;
-  PagedStates<HostState> states_;
+  HostId JoinWave(HostId self, HostId parent, TreeHostState& st);
+  void OnLateForward(HostId, HostId, int32_t, TreeHostState&) {}
+  bool Fold(HostId self, uint32_t local, const sim::Message& msg,
+            TreeHostState* st);
+  void Report(HostId self, const TreeHostState& st);
+  double Extract(const TreeHostState& st) const {
+    return st.partial.Extract(ctx_.aggregate);
+  }
 };
 
 }  // namespace validity::protocols

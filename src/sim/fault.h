@@ -89,13 +89,6 @@ struct FaultSpec {
   /// (0 = one per network host, which roughly doubles a count).
   uint32_t inflate_phantoms = 0;
 
-  /// Testing/benchmarks: hand the fault plane to the simulator even when
-  /// every rate is zero, to measure the installed-but-idle path against the
-  /// absent path (BM_WildfireCountQueryFaultIdle). An idle spec never arms
-  /// the per-delivery fate machinery (Simulator::InstallFaults), so the two
-  /// paths must benchmark identically — this knob guards that claim.
-  bool install_idle = false;
-
   bool HasLinkFaults() const {
     return drop_rate > 0 || duplicate_rate > 0 || delay_rate > 0;
   }

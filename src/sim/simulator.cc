@@ -93,7 +93,6 @@ void Simulator::Reset() {
   instance_metrics_.clear();
   program_ = nullptr;
   fault_ = nullptr;
-  fault_armed_ = false;
 }
 
 void Simulator::AttachInstanceMetrics(uint32_t instance_id, Metrics* metrics) {
@@ -306,7 +305,7 @@ void Simulator::SendTo(HostId from, HostId to, Message msg) {
   uint32_t kind = msg.kind;
   Trace(TraceEventKind::kSend, from, to, kind);
   MetricsFor(kind).RecordSend(Now(), msg.SizeBytes());
-  if (__builtin_expect(fault_armed_, 0)) {
+  if (__builtin_expect(fault_ != nullptr, 0)) {
     uint32_t slot = AcquireMessageSlot(std::move(msg), 2);  // +1 guard ref
     FaultDeliver(Now() + options_.delta, to, from, slot, kind);
     DropSlotRef(slot);
@@ -331,7 +330,7 @@ void Simulator::SendToNeighbors(HostId from, Message msg) {
   Metrics& metrics = MetricsFor(msg.kind);
   // With a fault plane installed, one guard ref keeps the slot alive while
   // per-receiver fates (which may drop mid-fan-out) adjust the count.
-  uint32_t guard = fault_armed_ ? 1u : 0u;
+  uint32_t guard = fault_ != nullptr ? 1u : 0u;
   uint32_t kind = msg.kind;
   if (options_.medium == MediumKind::kWireless) {
     // One transmission; every alive neighbor hears it (a per-receiver link
@@ -342,7 +341,7 @@ void Simulator::SendToNeighbors(HostId from, Message msg) {
     uint32_t slot = AcquireMessageSlot(std::move(msg), alive_nbrs + guard);
     for (HostId nb : nbrs) {
       if (!IsAlive(nb)) continue;
-      if (__builtin_expect(fault_armed_, 0)) {
+      if (__builtin_expect(fault_ != nullptr, 0)) {
         FaultDeliver(arrive, nb, from, slot, kind);
       } else {
         queue_.ScheduleTyped(arrive, EventTag::kDeliver, nb, from, slot, 0);
@@ -359,7 +358,7 @@ void Simulator::SendToNeighbors(HostId from, Message msg) {
     if (!IsAlive(nb)) continue;
     Trace(TraceEventKind::kSend, from, nb, kind);
     metrics.RecordSend(Now(), bytes);
-    if (__builtin_expect(fault_armed_, 0)) {
+    if (__builtin_expect(fault_ != nullptr, 0)) {
       FaultDeliver(arrive, nb, from, slot, kind);
     } else {
       queue_.ScheduleTyped(arrive, EventTag::kDeliver, nb, from, slot, 0);
@@ -377,14 +376,14 @@ void Simulator::SendToEach(HostId from, Message msg, const HostId* targets,
   size_t bytes = msg.SizeBytes();
   uint32_t kind = msg.kind;
   Metrics& metrics = MetricsFor(kind);
-  uint32_t guard = fault_armed_ ? 1u : 0u;
+  uint32_t guard = fault_ != nullptr ? 1u : 0u;
   uint32_t slot = AcquireMessageSlot(std::move(msg), count + guard);
   for (uint32_t i = 0; i < count; ++i) {
     HostId to = targets[i];
     VALIDITY_DCHECK(to < num_hosts_ && IsAlive(to));
     Trace(TraceEventKind::kSend, from, to, kind);
     metrics.RecordSend(Now(), bytes);
-    if (__builtin_expect(fault_armed_, 0)) {
+    if (__builtin_expect(fault_ != nullptr, 0)) {
       FaultDeliver(arrive, to, from, slot, kind);
     } else {
       queue_.ScheduleTyped(arrive, EventTag::kDeliver, to, from, slot, 0);
@@ -403,7 +402,7 @@ void Simulator::SendDirect(HostId from, HostId to, Message msg) {
   uint32_t kind = msg.kind;
   Trace(TraceEventKind::kSend, from, to, kind);
   MetricsFor(kind).RecordSend(Now(), msg.SizeBytes());
-  if (__builtin_expect(fault_armed_, 0)) {
+  if (__builtin_expect(fault_ != nullptr, 0)) {
     uint32_t slot = AcquireMessageSlot(std::move(msg), 2);  // +1 guard ref
     FaultDeliver(Now() + options_.delta, to, from, slot, kind);
     DropSlotRef(slot);
@@ -415,12 +414,11 @@ void Simulator::SendDirect(HostId from, HostId to, Message msg) {
 }
 
 void Simulator::InstallFaults(const FaultSpec* spec) {
-  fault_ = spec;
   // A spec with all-zero link rates cannot change any delivery's fate
-  // (DecideLinkFate draws compare against 0.0), so leave the fate machinery
-  // disarmed: installed-but-idle is bit-identical to absent and costs the
-  // same single predicted-not-taken test per delivery.
-  fault_armed_ = spec != nullptr && spec->HasLinkFaults();
+  // (DecideLinkFate draws compare against 0.0), so it is not kept: the fate
+  // machinery stays disarmed and the send paths pay one predicted-not-taken
+  // test per delivery.
+  fault_ = spec != nullptr && spec->HasLinkFaults() ? spec : nullptr;
 }
 
 void Simulator::FaultDeliver(SimTime arrive, HostId to, HostId from,

@@ -344,10 +344,10 @@ class Simulator {
   /// subsequent in-flight delivery's fate — drop, duplicate, extra delay —
   /// is decided by a stateless hash of the spec's seed and the delivery's
   /// coordinates. `spec` must outlive the attachment; pass nullptr to
-  /// remove. Cleared by Reset(). With no spec installed — or a spec whose
-  /// link rates are all zero, which cannot change any delivery's fate — the
-  /// send paths pay one predicted-not-taken test and nothing else
-  /// (BM_WildfireCountQueryFaultIdle vs BM_WildfireCountQuery pins this).
+  /// remove. Cleared by Reset(). A spec whose link rates are all zero cannot
+  /// change any delivery's fate and is not kept (faults() stays null); with
+  /// no spec kept, the send paths pay one predicted-not-taken test and
+  /// nothing else.
   void InstallFaults(const FaultSpec* spec);
   const FaultSpec* faults() const { return fault_; }
 
@@ -511,10 +511,8 @@ class Simulator {
   uint32_t slab_used_ = 0;
   uint32_t free_head_ = kNoFreeSlot;
   HostProgram* program_ = nullptr;
+  // Only a spec with live link rates is kept (InstallFaults).
   const FaultSpec* fault_ = nullptr;
-  // fault_ != nullptr && fault_->HasLinkFaults(), cached at install time so
-  // the per-delivery branch is one flag test and an idle spec costs nothing.
-  bool fault_armed_ = false;
   TraceRecorder* trace_ = nullptr;
   Metrics metrics_;
 };

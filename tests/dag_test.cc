@@ -157,6 +157,44 @@ TEST(DagTest, HigherKSendsMoreReports) {
   EXPECT_GT(msgs_k3, msgs_k1);
 }
 
+TEST(DagTest, EagerPacingRegistersEveryExtraParentAndDeclaresEarly) {
+  // kEager: the forward registers a host with its first parent and one
+  // kRegister message with each extra parent, so eager costs exactly one
+  // message per extra parent more than slotted, and the root declares as
+  // soon as its children reported instead of at the horizon.
+  topology::Graph g = *topology::MakeGrid(10);
+  std::vector<double> values(g.num_hosts(), 1.0);
+  uint64_t messages[2] = {0, 0};
+  uint64_t extra_parents = 0;
+  for (TreePacing pacing : {TreePacing::kSlotted, TreePacing::kEager}) {
+    sim::SimOptions opts;
+    opts.failure_detection = true;
+    sim::Simulator sim(g, opts);
+    DagOptions dopts;
+    dopts.max_parents = 2;
+    dopts.pacing = pacing;
+    DagProtocol dag(&sim, MakeContext(AggregateKind::kCount, &values, 20),
+                    dopts);
+    sim.AttachProgram(&dag);
+    dag.Start(0);
+    sim.Run();
+    ASSERT_TRUE(dag.result().declared);
+    EXPECT_DOUBLE_EQ(dag.result().value, g.num_hosts());
+    const bool eager = pacing == TreePacing::kEager;
+    messages[eager] = sim.metrics().messages_sent();
+    if (eager) {
+      EXPECT_LT(dag.result().declared_at, dag.Horizon());
+      for (HostId h = 1; h < g.num_hosts(); ++h) {
+        extra_parents += dag.ParentsOf(h).size() - 1;
+      }
+    } else {
+      EXPECT_EQ(dag.result().declared_at, dag.Horizon());
+    }
+  }
+  EXPECT_GT(extra_parents, 0u);
+  EXPECT_EQ(messages[1], messages[0] + extra_parents);
+}
+
 TEST(DagTest, WirelessReportCostIndependentOfK) {
   // Paper §6.6 (Fig. 11): on the broadcast medium, reporting to k parents
   // costs one transmission regardless of k.

@@ -131,6 +131,56 @@ TEST_F(EngineTest, NonFiniteOrSubHopDHatIsInvalidArgument) {
   }
 }
 
+TEST_F(EngineTest, NonPositiveOrNonFiniteDeltaIsInvalidArgument) {
+  // Fresh runs build a transient session, whose simulator would CHECK.
+  RunConfig config;
+  for (double delta : {0.0, -1.0, std::nan(""),
+                       std::numeric_limits<double>::infinity()}) {
+    config.sim_options.delta = delta;
+    EXPECT_EQ(engine_.Run(QuerySpec{}, config, 0).status().code(),
+              StatusCode::kInvalidArgument)
+        << "delta " << delta;
+  }
+}
+
+TEST_F(EngineTest, DirectReportsOnWirelessAreInvalidArgument) {
+  // ALL-REPORT's default kDirect routing and RANDOMIZED-REPORT open direct
+  // underlay connections, which a broadcast medium does not have.
+  RunConfig config;
+  config.sim_options.medium = sim::MediumKind::kWireless;
+  for (auto kind : {protocols::ProtocolKind::kAllReport,
+                    protocols::ProtocolKind::kRandomizedReport}) {
+    config.protocol = kind;
+    EXPECT_EQ(engine_.Run(QuerySpec{}, config, 0).status().code(),
+              StatusCode::kInvalidArgument)
+        << protocols::ProtocolKindName(kind);
+    sim::SimulatorSession session(&graph_, config.sim_options);
+    EXPECT_EQ(engine_.Run(&session, QuerySpec{}, config, 0).status().code(),
+              StatusCode::kInvalidArgument)
+        << protocols::ProtocolKindName(kind);
+  }
+  // Reverse-path routing relays hop by hop and runs on any medium.
+  config.protocol = protocols::ProtocolKind::kAllReport;
+  config.protocol_options.all_report.routing =
+      protocols::ReportRouting::kReversePath;
+  EXPECT_TRUE(engine_.Run(QuerySpec{}, config, 0).ok());
+}
+
+TEST_F(EngineTest, NegativeOrNonFiniteHeartbeatIsInvalidArgument) {
+  // A negative heartbeat would schedule churned hosts' failure detections
+  // in the past.
+  RunConfig config;
+  config.protocol = protocols::ProtocolKind::kSpanningTree;
+  config.churn_removals = 50;
+  for (double heartbeat : {-50.0, std::nan(""),
+                           std::numeric_limits<double>::infinity()}) {
+    config.sim_options.heartbeat_interval = heartbeat;
+    EXPECT_EQ(engine_.Run(QuerySpec{}, config, 0).status().code(),
+              StatusCode::kInvalidArgument)
+        << "heartbeat " << heartbeat;
+  }
+}
+
 TEST_F(EngineTest, ChurnShrinksOracleLowerBound) {
   QuerySpec spec;
   spec.aggregate = AggregateKind::kCount;

@@ -1,6 +1,7 @@
 // Randomized differential fingerprint harness: N seeded cases drawn over
 // (topology kind and size, protocol, aggregate, combiner family, churn,
-// fault spec, start time, querying host), each executed four ways —
+// fault spec, start time, querying host, tree/DAG pacing and fan-in,
+// medium), each executed four ways —
 //
 //   fresh          one-shot QueryEngine::Run (or a single staggered
 //                  RunConcurrent when the start time is nonzero),
@@ -214,6 +215,22 @@ FuzzCase DrawCase(uint64_t seed) {
   c.hq = pick(0, c.num_hosts - 1);
   // Half the cases arrive mid-timeline, staggered off the tick comb.
   c.start_at = pick(0, 1) == 1 ? uniform(0.25, 20.0) : 0.0;
+
+  // Tree/DAG convergecast: pacing, DAG fan-in k, and the wireless medium on
+  // graph-backed topologies. Drawn after every field above so that each
+  // seed keeps the values it drew before these branches were fuzzed.
+  if (c.config.protocol == ProtocolKind::kSpanningTree ||
+      c.config.protocol == ProtocolKind::kDag) {
+    const protocols::TreePacing pacing = pick(0, 1) == 1
+                                             ? protocols::TreePacing::kEager
+                                             : protocols::TreePacing::kSlotted;
+    c.config.protocol_options.spanning_tree.pacing = pacing;
+    c.config.protocol_options.dag.pacing = pacing;
+    c.config.protocol_options.dag.max_parents = pick(1, 3);
+    if (c.graph != nullptr && pick(0, 4) == 0) {
+      c.config.sim_options.medium = sim::MediumKind::kWireless;
+    }
+  }
   return c;
 }
 
@@ -232,6 +249,9 @@ std::string DescribeCase(const FuzzCase& c, uint64_t seed, uint64_t index) {
       << " start_at=" << c.start_at
       << " medium=" << (c.config.sim_options.medium ==
                         sim::MediumKind::kWireless ? "wireless" : "p2p")
+      << " pacing=" << (c.config.protocol_options.spanning_tree.pacing ==
+                        protocols::TreePacing::kEager ? "eager" : "slotted")
+      << " dag_k=" << c.config.protocol_options.dag.max_parents
       << "\n  churn_removals=" << c.config.churn_removals
       << " churn_seed=" << c.config.churn_seed
       << " churn_window=[" << c.config.churn_start_frac << ","

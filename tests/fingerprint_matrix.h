@@ -1,9 +1,12 @@
 // Shared fingerprint fixtures for the determinism-contract tests: the
-// 34-case (spec, config, hq) matrix and the field-for-field QueryResult
-// comparison. Used by tests/session_test.cc (fresh == session-reused ==
-// concurrent), tests/query_service_test.cc (the fourth column: the open
-// query-arrival service), and tests/fingerprint_fuzz_test.cc (the
-// randomized differential harness over the same comparator).
+// 37-case (spec, config, hq) matrix, the 30-case fault matrix, and the
+// field-for-field QueryResult comparison. Used by tests/session_test.cc
+// (fresh == session-reused == concurrent), tests/query_service_test.cc (the
+// fourth column: the open query-arrival service), tests/fault_test.cc (the
+// same contract under faults), tests/fingerprint_fuzz_test.cc (the
+// randomized differential harness over the same comparator), and
+// tests/golden_fingerprint_test.cc (both matrices pinned to committed
+// hashes).
 
 #ifndef VALIDITY_TESTS_FINGERPRINT_MATRIX_H_
 #define VALIDITY_TESTS_FINGERPRINT_MATRIX_H_
@@ -13,6 +16,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "sim/fault.h"
 
 namespace validity::core {
 
@@ -23,9 +27,9 @@ struct Case {
   HostId hq = 0;
 };
 
-/// The 34-case (spec, config, hq) matrix: every protocol, exact and FM
+/// The 37-case (spec, config, hq) matrix: every protocol, exact and FM
 /// combiners, all five aggregates, churn, the WILDFIRE option ablations,
-/// report routing, DAG fan-in, tree pacing, and the wireless medium.
+/// report routing, DAG fan-in, tree and DAG pacing, and the wireless medium.
 inline std::vector<Case> FingerprintMatrix() {
   using protocols::ProtocolKind;
   std::vector<Case> cases;
@@ -91,9 +95,18 @@ inline std::vector<Case> FingerprintMatrix() {
       80, 0);
   cases.back().config.protocol_options.spanning_tree.pacing =
       protocols::TreePacing::kEager;
-  // Wireless medium. (1)
+  // Eager DAG pacing: child registration with every adopted parent. (1)
+  add("dag-eager", ProtocolKind::kDag, AggregateKind::kCount, true, 80, 0);
+  cases.back().config.protocol_options.dag.pacing =
+      protocols::TreePacing::kEager;
+  // Wireless medium. (3)
   add("wf-wireless", ProtocolKind::kWildfire, AggregateKind::kCount, false, 0,
       0);
+  cases.back().config.sim_options.medium = sim::MediumKind::kWireless;
+  add("tree-wireless", ProtocolKind::kSpanningTree, AggregateKind::kCount,
+      true, 0, 0);
+  cases.back().config.sim_options.medium = sim::MediumKind::kWireless;
+  add("dag-wireless", ProtocolKind::kDag, AggregateKind::kCount, false, 0, 0);
   cases.back().config.sim_options.medium = sim::MediumKind::kWireless;
   // Churned FM sum + distinct seeds. (1)
   add("wf-churn-sum", ProtocolKind::kWildfire, AggregateKind::kSum, false,
@@ -105,6 +118,60 @@ inline std::vector<Case> FingerprintMatrix() {
       false, 90, 0);
   // A different querying host. (1)
   add("wf-hq7", ProtocolKind::kWildfire, AggregateKind::kCount, false, 40, 7);
+  return cases;
+}
+
+/// The fault matrix: one level per fault mode, plus mixed weather, each
+/// running WILDFIRE/FM, WILDFIRE/exact under churn (faults and churn
+/// composed), SPANNINGTREE/exact, GOSSIP and DAG — body-path, inline wire,
+/// and mass-based traffic. 6 levels x 5 protocols = 30 cases, level-major;
+/// sim::FaultSpecLabel(case.config.fault) names a case's level.
+inline std::vector<Case> FaultFingerprintCases() {
+  using protocols::ProtocolKind;
+  std::vector<sim::FaultSpec> levels(6);
+  levels[0].seed = 7;
+  levels[0].drop_rate = 0.15;
+  levels[1].seed = 8;
+  levels[1].duplicate_rate = 0.2;
+  levels[1].delay_rate = 0.25;
+  levels[1].max_delay_hops = 3;
+  levels[2].seed = 10;
+  levels[2].byzantine_mode = sim::ByzantineMode::kInflate;
+  levels[2].byzantine_fraction = 0.15;
+  levels[3].seed = 11;
+  levels[3].byzantine_mode = sim::ByzantineMode::kDeadenReplies;
+  levels[3].byzantine_fraction = 0.25;
+  levels[4].seed = 12;
+  levels[4].byzantine_mode = sim::ByzantineMode::kStaleReplay;
+  levels[4].byzantine_fraction = 0.25;
+  levels[5].seed = 13;  // mixed weather
+  levels[5].drop_rate = 0.08;
+  levels[5].duplicate_rate = 0.05;
+  levels[5].delay_rate = 0.1;
+  levels[5].max_delay_hops = 2;
+  levels[5].byzantine_mode = sim::ByzantineMode::kInflate;
+  levels[5].byzantine_fraction = 0.1;
+
+  std::vector<Case> cases;
+  for (const sim::FaultSpec& fault : levels) {
+    auto add = [&cases, &fault](const char* label, ProtocolKind kind,
+                                AggregateKind agg, bool exact,
+                                uint32_t removals) {
+      Case c;
+      c.label = label;
+      c.spec.aggregate = agg;
+      c.spec.exact_combiners = exact;
+      c.config.protocol = kind;
+      c.config.churn_removals = removals;
+      c.config.fault = fault;
+      cases.push_back(c);
+    };
+    add("wf-fm", ProtocolKind::kWildfire, AggregateKind::kCount, false, 0);
+    add("wf-churn", ProtocolKind::kWildfire, AggregateKind::kSum, true, 60);
+    add("tree", ProtocolKind::kSpanningTree, AggregateKind::kCount, true, 0);
+    add("gossip", ProtocolKind::kGossip, AggregateKind::kCount, false, 0);
+    add("dag", ProtocolKind::kDag, AggregateKind::kCount, false, 0);
+  }
   return cases;
 }
 

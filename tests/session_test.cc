@@ -2,7 +2,7 @@
 // (docs/SESSIONS.md).
 //
 //  (a) Fresh-construction QueryEngine::Run and session-reusing Run produce
-//      field-for-field identical QueryResults across a 34-case
+//      field-for-field identical QueryResults across a 37-case
 //      (spec, config, hq) fingerprint matrix covering every protocol, both
 //      combiner families, churn, option ablations, and both media — with
 //      every session case running on a simulator warmed (and dirtied) by
@@ -44,7 +44,7 @@ class SessionTest : public ::testing::Test {
 
 TEST_F(SessionTest, FreshAndReusedRunsAreBitIdenticalAcrossTheMatrix) {
   std::vector<Case> cases = FingerprintMatrix();
-  ASSERT_EQ(cases.size(), 34u);
+  ASSERT_EQ(cases.size(), 37u);
   // One session per structural sim-option set (here: per medium), so every
   // case after the first runs on a simulator the previous cases dirtied.
   // The service column borrows a second session the same way: each case's
